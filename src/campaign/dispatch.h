@@ -1,36 +1,19 @@
-// Campaign dispatcher daemon: work-stealing worker pool with crash recovery.
+// Worker-pool building blocks of the campaign service (campaign/server.h):
+// the frame transport, the work-stealing task queue and the worker loop.
 //
-// PR 3's static sharding (campaign/shard.h) splits a campaign into N
-// weight-balanced slices up front — good enough when every fragment costs
-// what the planner guessed, and useless when a worker dies. This layer is
-// the dynamic counterpart (ROADMAP "campaign service", local step): a
-// dispatcher process
-//
-//   * splits the spec into STEALABLE UNITS (planDispatchUnits — the flat
-//     unit/weight list underneath planShards, mutant-range fragments and
-//     all) and queues them heaviest-first,
-//   * spawns a pool of worker subprocesses (util/subprocess.h) that each
-//     loop { recv unit, run it via runShardUnits, stream the ShardOutput
-//     back },
-//   * schedules by WORK-STEALING: a worker that finishes early just claims
-//     the next queued unit, so one mispredicted 100x fragment delays one
-//     worker, not the whole static plan,
-//   * merges results incrementally via mergeShards as they arrive, and
-//   * RE-QUEUES the in-flight unit of any worker that dies (exit, signal)
-//     or goes silent past the heartbeat timeout (SIGKILLed first). Retries
-//     are safe because unit results are bit-identical by construction —
-//     mergeShards deduplicates a retry that raced its dead predecessor's
-//     delivered result.
+// A campaign is split into STEALABLE UNITS (planDispatchUnits — the flat
+// unit/weight list underneath planShards, mutant-range fragments and all).
+// Each campaign's units live in a TaskQueue ordered heaviest-first; an idle
+// worker subprocess claims the next unit, runs it via runShardUnits and
+// streams the ShardOutput back. A unit lost to a dead or silent worker goes
+// back to the front of its queue. Retries are safe because unit results are
+// bit-identical by construction — mergeShards deduplicates a retry that
+// raced its dead predecessor's delivered result.
 //
 // Wire protocol: length-framed util/codec documents over the workers'
 // stdin/stdout pipes (frameWire / FrameReader below; frame schemas in
-// campaign/serialize.h, codec v5). Everything is versioned, so a
-// mixed-version dispatcher/worker pair refuses to talk instead of skewing
-// results.
-//
-// The dispatcher is deliberately SINGLE-THREADED (one poll(2) loop): every
-// scheduling decision is a deterministic function of the event order, which
-// is what the scheduler unit tests pin down.
+// campaign/serialize.h). Everything is versioned, so a mixed-version
+// server/worker pair refuses to talk instead of skewing results.
 #pragma once
 
 #include <cstdint>
@@ -105,11 +88,11 @@ FrameRead readFrameBlocking(int fd, FrameReader& reader, std::string& doc,
                             int* errnoOut = nullptr);
 
 /// Per-connection outbound byte queue for a non-blocking fd. The
-/// single-threaded dispatcher/server loops never issue a blocking write:
+/// single-threaded server loop never issues a blocking write:
 /// frames are enqueue()d here and flushTo() drains as much as the fd
 /// accepts, with POLLOUT re-arming the rest. This is the fix for the
 /// submit-path deadlock (a worker with a full stdin pipe while itself
-/// blocked writing a large result would wedge a blocking dispatcher
+/// blocked writing a large result would wedge a blocking server
 /// forever).
 class OutboundBuffer {
  public:
@@ -142,7 +125,7 @@ struct DispatchTask {
 /// ordered heaviest-first (weight desc, index asc — LPT scheduling), so the
 /// expensive fragments start first and the small ones backfill idle
 /// workers; a re-queued task goes to the FRONT (it already waited once).
-/// Single-threaded by design: only the dispatcher loop touches it.
+/// Single-threaded by design: only the server loop touches it.
 class TaskQueue {
  public:
   TaskQueue() = default;
@@ -196,102 +179,38 @@ class TaskQueue {
   std::size_t retired_ = 0;
 };
 
-// --- dispatcher --------------------------------------------------------------
+// --- worker pool -------------------------------------------------------------
 
-/// Scheduling failed in a way retries cannot fix: a task exhausted its
-/// attempt budget, every worker slot died with work pending, or the worker
-/// pool could not be spawned at all. (Campaign ITEM errors are not dispatch
-/// errors — they travel inside the merged result like everywhere else.)
+/// Scheduling failed in a way retries cannot fix: every worker slot died
+/// with work pending, or the worker pool could not be spawned at all.
+/// (Campaign ITEM errors — including quarantined units — are not dispatch
+/// errors; they travel inside the merged result like everywhere else.)
 class DispatchError : public std::runtime_error {
  public:
   explicit DispatchError(const std::string& what)
       : std::runtime_error("dispatch: " + what) {}
 };
 
-struct DispatchOptions {
-  /// Worker pool size; 0 = resolveWorkerCount(0) (XLV_WORKERS or hardware).
-  int workers = 0;
-  /// Stealable-unit granularity, as ShardPlanOptions::maxFragmentMutants.
-  std::size_t maxFragmentMutants = 0;
-  /// Optional per-item mutant counts (planDispatchUnits semantics).
-  std::vector<std::size_t> mutantCounts;
-  /// Command prefix that execs ONE WORKER speaking the frame protocol on
-  /// stdin/stdout; the dispatcher appends "--spec <path> --index <i>
-  /// --generation <g> --heartbeat-ms <n>". Required.
-  std::vector<std::string> workerCommand;
-  /// Milliseconds between worker heartbeats while a unit runs.
-  int heartbeatIntervalMs = 200;
-  /// A busy worker silent this long is presumed hung: SIGKILL + re-queue.
-  int heartbeatTimeoutMs = 10000;
-  /// Submission budget per task (first run + retries); exhausting it is a
-  /// DispatchError.
-  int maxTaskAttempts = 3;
-  /// Respawn budget per worker slot after a crash/kill.
-  int maxWorkerRespawns = 2;
-  /// Directory for the spec handoff file ("" = std::filesystem temp dir).
-  std::string specDir;
-};
-
-/// One crash-recovery re-queue, as surfaced in the ledger (the acceptance
-/// criterion: a killed worker's unit must show up here AND in the merged
-/// result).
-struct RequeueRecord {
-  std::uint64_t taskIndex = 0;
-  ShardUnit unit;
-  std::uint64_t attempt = 0;  ///< 1-based submission attempt that was lost
-  std::string reason;  ///< "worker-exit" | "worker-signal" | "heartbeat-timeout" | "submit-write-failed"
-  std::uint64_t workerIndex = 0;
-  std::uint64_t generation = 0;
-};
-
-struct DispatchLedger {
-  std::uint64_t tasksTotal = 0;
-  std::uint64_t tasksCompleted = 0;
-  std::uint64_t submissions = 0;       ///< submit frames accepted by workers
-  std::uint64_t duplicateResults = 0;  ///< results discarded (task already done)
-  std::uint64_t workersRequested = 0;
-  std::uint64_t workersSpawned = 0;  ///< processes ever spawned (incl. respawns)
-  std::uint64_t workerRespawns = 0;
-  std::uint64_t workersKilled = 0;  ///< heartbeat-timeout SIGKILLs
-  std::uint64_t heartbeats = 0;
-  std::vector<RequeueRecord> requeuedShards;
-};
-
-struct DispatchResult {
-  CampaignResult result;  ///< mergeShards output, bit-identical to runCampaign
-  DispatchLedger ledger;
-};
-
-/// Run the campaign through a dispatcher-owned worker pool. Blocks until
-/// every unit completed (merging incrementally as results stream back) and
-/// returns the merged result plus the scheduling ledger. Throws
-/// DispatchError when recovery is impossible (see class doc);
-/// std::invalid_argument on a malformed request (empty workerCommand,
-/// non-positive timeouts).
-DispatchResult runDispatcher(const CampaignSpec& spec, const DispatchOptions& opt);
-
 struct DispatchWorkerOptions {
   int workerIndex = 0;
   int generation = 0;
   int heartbeatIntervalMs = 200;
-  int inFd = 0;    ///< frames from the dispatcher (stdin)
-  int outFd = 1;   ///< frames to the dispatcher (stdout)
+  int inFd = 0;    ///< frames from the server (stdin)
+  int outFd = 1;   ///< frames to the server (stdout)
 };
 
 /// Worker main loop (the "worker" subcommand of tools/xlv_campaignd): recv
 /// SubmitFrames, run each unit via runShardUnits, stream StatusFrame /
 /// HeartbeatFrame / ResultFrame back. Returns the process exit code: 0
-/// after a clean shutdown frame or dispatcher EOF, nonzero on protocol
-/// errors (codec version skew, spec fingerprint mismatch, stdin I/O
-/// failure).
+/// after a clean shutdown frame or server EOF, nonzero on protocol errors
+/// (codec version skew, spec fingerprint mismatch, stdin I/O failure).
 ///
-/// `defaultSpec` (may be null) serves submits whose specPath is empty — the
-/// single-campaign `run` mode ships the spec once at worker startup. A
-/// submit with a non-empty specPath loads (and caches, keyed by path +
-/// fingerprint) that spec instead, which is how one worker pool serves many
-/// campaigns at once under campaign/server.h. Either way the SubmitFrame's
-/// specFnv must match the spec actually loaded, or the worker refuses with
-/// exit 8.
+/// Every submit names its campaign's spec handoff file (specPath). The
+/// worker loads and caches the decoded spec per path; an empty path, an
+/// unreadable file, or a SubmitFrame specFnv that does not match the loaded
+/// spec is refused with exit 8. The cache is bounded by the live campaigns:
+/// on a miss, entries whose handoff file is gone (the server removes it when
+/// the campaign finishes) are dropped.
 ///
 /// Fault-injection hooks (tests/campaign/dispatch_fault_test.cpp), honored
 /// only when XLV_TEST_FAULT_WORKER (default 0) names this workerIndex AND
@@ -301,7 +220,9 @@ struct DispatchWorkerOptions {
 ///   XLV_TEST_HANG_AFTER_ITEMS=N  stop heartbeating and sleep forever
 ///                                (exercises the heartbeat timeout);
 ///   XLV_TEST_EXIT_AFTER_ITEMS=N  _exit(9) (orderly-looking failure).
-int runDispatchWorker(const CampaignSpec* defaultSpec, const DispatchWorkerOptions& opt);
+/// XLV_TEST_POISON_ITEM=I / XLV_TEST_POISON_MUTANT=M SIGKILL EVERY worker
+/// that starts a unit covering item I's mutant M (the quarantine path).
+int runDispatchWorker(const DispatchWorkerOptions& opt);
 
 /// Worker pool size: `requested` when > 0, else strict-parsed XLV_WORKERS
 /// (positive integer, else std::invalid_argument), else
@@ -317,9 +238,11 @@ int resolveWorkerCount(int requested);
 /// silently runs with a default.
 long envLongStrict(const char* name, long fallback);
 
-/// The ledger as a JSON object (CI uploads it next to the BENCH_*.json
-/// artifacts; keys are the DispatchLedger field names, requeuedShards as an
-/// array of objects).
-std::string encodeDispatchLedgerJson(const DispatchLedger& ledger);
+/// Blocking write of all of `data` (EINTR retried); false on a write error.
+bool writeFdAll(int fd, std::string_view data) noexcept;
+
+/// Make a dead peer surface as EPIPE from write(2) instead of killing the
+/// process. Idempotent; every server, client and worker entry calls it.
+void ignoreSigpipe();
 
 }  // namespace xlv::campaign

@@ -476,7 +476,7 @@ core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& c
   return prefix;
 }
 
-// --- dispatcher daemon wire frames -------------------------------------------
+// --- worker-pool wire frames -------------------------------------------------
 
 const char* const kSubmitFrameTag = "dispatch-submit";
 const char* const kStatusFrameTag = "dispatch-status";

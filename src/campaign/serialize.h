@@ -87,38 +87,37 @@ std::string encodeFlowPrefix(const core::FlowPrefix& prefix);
 core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& cs,
                                   const core::FlowOptions& opts);
 
-// --- dispatcher daemon wire frames (campaign/dispatch.h; codec v5) -----------
+// --- worker-pool wire frames (campaign/dispatch.h; codec v5) ----------------
 //
-// The dispatcher and its worker subprocesses speak length-framed codec
+// The server and its worker subprocesses speak length-framed codec
 // documents over pipes (later: sockets). Four frame kinds; every one is
-// versioned with kCampaignCodecVersion, so a dispatcher never feeds work to
+// versioned with kCampaignCodecVersion, so a server never feeds work to
 // a worker built against a different schema. util::peekDocumentTag picks
 // the decoder; all four decoders are strict (DecodeError on truncation,
 // corruption, reordering or version skew) and byte-stable.
 
-/// Dispatcher -> worker: run one stealable unit (a whole campaign item or a
+/// Server -> worker: run one stealable unit (a whole campaign item or a
 /// mutant-range fragment), or shut down cleanly.
 struct SubmitFrame {
   std::uint64_t specFnv = 0;    ///< fingerprint of the spec the unit belongs to
-  /// Which client campaign the unit belongs to when a server multiplexes
-  /// several over one worker pool (campaign/server.h); 0 in the
-  /// single-campaign `run` mode.
+  /// Which client campaign the unit belongs to (campaign/server.h
+  /// multiplexes several over one worker pool).
   std::uint64_t campaignId = 0;
-  std::uint64_t seq = 0;        ///< dispatcher-wide submission sequence number
+  std::uint64_t seq = 0;        ///< server-wide submission sequence number
   std::uint64_t taskIndex = 0;  ///< index into the campaign's dispatch unit list
   std::uint64_t taskCount = 0;  ///< total units (the merge's shardCount)
   std::uint64_t attempt = 0;    ///< 0 = first run, >0 = crash-recovery retry
   ShardUnit unit;
-  /// Spec handoff file for this unit's campaign. Empty = the worker's
-  /// startup --spec (the `run` mode); non-empty = load (and cache by
-  /// fingerprint) from this path, which is how one worker pool serves many
-  /// campaigns. The specFnv cross-check applies either way.
+  /// Spec handoff file for this unit's campaign: the worker loads (and
+  /// caches per path) the spec from here, which is how one worker pool
+  /// serves many campaigns; specFnv cross-checks it. Required on every
+  /// non-shutdown submit — a worker refuses an empty path.
   std::string specPath;
   bool shutdown = false;  ///< true: no more work; unit/task fields ignored
   bool operator==(const SubmitFrame&) const = default;
 };
 
-/// Worker -> dispatcher: lifecycle announcement ("ready" after spawn and
+/// Worker -> server: lifecycle announcement ("ready" after spawn and
 /// after each completed unit; "working" right after accepting a submit).
 struct StatusFrame {
   std::uint64_t workerIndex = 0;
@@ -128,8 +127,8 @@ struct StatusFrame {
   bool operator==(const StatusFrame&) const = default;
 };
 
-/// Worker -> dispatcher: periodic liveness beat while a unit is running. A
-/// busy worker silent past the dispatcher's heartbeat timeout is SIGKILLed
+/// Worker -> server: periodic liveness beat while a unit is running. A
+/// busy worker silent past the server's heartbeat timeout is SIGKILLed
 /// and its unit re-queued.
 struct HeartbeatFrame {
   std::uint64_t workerIndex = 0;
@@ -139,11 +138,11 @@ struct HeartbeatFrame {
   bool operator==(const HeartbeatFrame&) const = default;
 };
 
-/// Worker -> dispatcher: one completed unit's ShardOutput (shardIndex =
+/// Worker -> server: one completed unit's ShardOutput (shardIndex =
 /// taskIndex, shardCount = taskCount), streamed back as soon as it
-/// finishes so the dispatcher can merge incrementally.
+/// finishes so the server can merge incrementally.
 struct ResultFrame {
-  std::uint64_t campaignId = 0;  ///< echoed from the SubmitFrame (0 in run mode)
+  std::uint64_t campaignId = 0;  ///< echoed from the SubmitFrame
   std::uint64_t seq = 0;
   std::uint64_t taskIndex = 0;
   std::uint64_t attempt = 0;

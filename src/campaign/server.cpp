@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -32,33 +34,20 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-void ignoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
-
 /// Self-pipe for graceful drain: the SIGTERM/SIGINT handler only writes one
 /// byte here, and the poll loop — the single place allowed to touch server
-/// state — reads it and starts the drain. Async-signal-safe by construction.
-int gDrainPipeWrite = -1;
+/// state — reads it and starts the drain. The handler reads the fd while the
+/// server thread sets and clears it, so it must be a lock-free atomic.
+std::atomic<int> gDrainPipeWrite{-1};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 void onDrainSignal(int) {
   const int saved = errno;
-  if (gDrainPipeWrite >= 0) {
+  if (const int fd = gDrainPipeWrite.load(); fd >= 0) {
     const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(gDrainPipeWrite, &byte, 1);
+    [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
   errno = saved;
-}
-
-bool writeFdAll(int fd, std::string_view data) noexcept {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// Connect to a server address (blocking fd). -1 with `error` set on failure.
@@ -133,7 +122,7 @@ struct Campaign {
   std::string specPath;  ///< per-campaign spec handoff file
   TaskQueue queue;
   std::uint64_t taskCount = 0;
-  std::uint64_t requeues = 0;
+  std::vector<RequeueRecord> requeuedShards;
   std::uint64_t discarded = 0;
   /// Cancelled or errored: pending units left the scheduler, in-flight
   /// units drain with their results discarded, then the campaign finalizes.
@@ -150,7 +139,11 @@ struct Campaign {
 
 class Server {
  public:
-  explicit Server(const ServeOptions& opt) : opt_(opt) {}
+  /// `adoptedFd` >= 0: serve that one connected socket instead of a
+  /// listener, and stop once it closed and its campaign finalized.
+  Server(const ServeOptions& opt, int adoptedFd) : opt_(opt) {
+    if (adoptedFd >= 0) addConn(adoptedFd);
+  }
   ~Server() {
     for (auto& conn : conns_) {
       if (conn->fd >= 0) ::close(conn->fd);
@@ -159,7 +152,7 @@ class Server {
     if (!boundPath_.empty()) ::unlink(boundPath_.c_str());
     for (Campaign* c : liveCampaigns()) removeSpecFile(*c);
     if (drainWriteFd_ >= 0) {
-      gDrainPipeWrite = -1;
+      gDrainPipeWrite.store(-1);
       ::close(drainWriteFd_);
     }
     if (drainReadFd_ >= 0) ::close(drainReadFd_);
@@ -181,6 +174,7 @@ class Server {
   void assignWork();
   void submitUnit(std::size_t wi, Campaign& c);
   void acceptClients();
+  void addConn(int fd);
   void onClientReadable(ClientConn& conn);
   void processClientFrames(ClientConn& conn);
   void admit(ClientConn& conn, const ClientSubmitFrame& f);
@@ -384,15 +378,19 @@ void Server::acceptClients() {
       ::close(fd);
       continue;
     }
-    util::setNonBlocking(fd);
-    auto conn = std::make_unique<ClientConn>();
-    conn->fd = fd;
-    // Client sockets are untrusted: cap declared frame lengths well below
-    // the 1 GiB codec ceiling the trusted worker pipes keep.
-    conn->reader.setMaxFrameBytes(opt_.maxClientFrameBytes);
-    conn->openedAt = Clock::now();
-    conns_.push_back(std::move(conn));
+    addConn(fd);
   }
+}
+
+void Server::addConn(int fd) {
+  util::setNonBlocking(fd);
+  auto conn = std::make_unique<ClientConn>();
+  conn->fd = fd;
+  // Client sockets are untrusted: cap declared frame lengths well below
+  // the 1 GiB codec ceiling the trusted worker pipes keep.
+  conn->reader.setMaxFrameBytes(opt_.maxClientFrameBytes);
+  conn->openedAt = Clock::now();
+  conns_.push_back(std::move(conn));
 }
 
 void Server::onClientReadable(ClientConn& conn) {
@@ -750,6 +748,14 @@ void Server::requeueLostUnit(std::size_t wi, const std::string& reason) {
   if (c.finishing) return;  // cancelled campaigns do not re-queue
   if (c.queue.isCompleted(s.taskIndex)) return;  // its result was drained in time
   const DispatchTask& t = c.queue.task(s.taskIndex);
+  RequeueRecord rec;
+  rec.taskIndex = t.index;
+  rec.unit = t.unit;
+  rec.attempt = t.attempts;
+  rec.reason = reason;
+  rec.workerIndex = wi;
+  rec.generation = static_cast<std::uint64_t>(s.generation);
+  c.requeuedShards.push_back(std::move(rec));
   if (static_cast<int>(t.attempts) >= opt_.maxTaskAttempts) {
     // An unrunnable unit is isolated — bisected or quarantined — so it
     // costs its own item, not its campaign (and never the server).
@@ -757,7 +763,6 @@ void Server::requeueLostUnit(std::size_t wi, const std::string& reason) {
     return;
   }
   c.queue.requeue(s.taskIndex);
-  ++c.requeues;
   XLV_WARN("campaignd") << "re-queued task " << t.index << " of campaign " << c.id
                         << " (attempt " << t.attempts << " lost to worker " << wi
                         << ": " << reason << ")";
@@ -810,7 +815,7 @@ void Server::failCampaign(Campaign& c, const std::string& msg) {
     done.campaignId = c.id;
     done.unitsTotal = c.taskCount;
     done.unitsCompleted = c.queue.completedCount();
-    done.requeues = c.requeues;
+    done.requeues = c.requeuedShards.size();
     done.cancelled = false;
     done.error = msg;
     done.quarantined = c.quarantined;
@@ -826,7 +831,7 @@ void Server::finishSuccess(Campaign& c) {
   done.campaignId = c.id;
   done.unitsTotal = c.taskCount;
   done.unitsCompleted = c.queue.completedCount();
-  done.requeues = c.requeues;
+  done.requeues = c.requeuedShards.size();
   // unitsTotal is the FINAL task count: bisection appended tasks, and the
   // client must normalize its streamed outputs' shardCount to this before
   // merging.
@@ -848,7 +853,7 @@ void Server::finalize(Campaign& c) {
   e.name = c.name;
   e.unitsTotal = c.taskCount;
   e.unitsCompleted = c.queue.completedCount();
-  e.requeues = c.requeues;
+  e.requeuedShards = std::move(c.requeuedShards);
   e.discardedResults = c.discarded;
   e.cancelled = c.cancelled;
   e.error = c.error;
@@ -863,7 +868,7 @@ void Server::finalize(Campaign& c) {
   }
   XLV_INFO("campaignd") << "campaign " << c.id << " ('" << c.name << "') finished: "
                         << e.unitsCompleted << "/" << e.unitsTotal << " units, "
-                        << e.requeues << " re-queues"
+                        << e.requeuedShards.size() << " re-queues"
                         << (c.cancelled ? " (cancelled)" : "");
   removeSpecFile(c);
   rrRemove(c.id);
@@ -1085,7 +1090,7 @@ ServeResult Server::run() {
     drainWriteFd_ = p[1];
     util::setNonBlocking(drainReadFd_);
     util::setNonBlocking(drainWriteFd_);
-    gDrainPipeWrite = drainWriteFd_;
+    gDrainPipeWrite.store(drainWriteFd_);
     struct sigaction sa{};
     sa.sa_handler = onDrainSignal;
     ::sigemptyset(&sa.sa_mask);
@@ -1098,7 +1103,8 @@ ServeResult Server::run() {
   std::error_code ec;
   fs::create_directories(specDir_, ec);
 
-  listen();
+  const bool adopted = !conns_.empty();
+  if (!adopted) listen();
 
   const int workerCount = resolveWorkerCount(opt_.workers);
   workers_.resize(static_cast<std::size_t>(workerCount));
@@ -1108,9 +1114,9 @@ ServeResult Server::run() {
   }
   if (live == 0) throw DispatchError("could not spawn any serve worker");
   XLV_INFO("campaignd") << "serving on "
-                        << (!boundPath_.empty()
-                                ? boundPath_
-                                : "127.0.0.1:" + std::to_string(opt_.tcpPort))
+                        << (adopted               ? std::string("one adopted connection")
+                            : !boundPath_.empty() ? boundPath_
+                                                  : "127.0.0.1:" + std::to_string(opt_.tcpPort))
                         << " with " << live << " workers";
 
   struct PollRef {
@@ -1125,13 +1131,18 @@ ServeResult Server::run() {
         campaigns_.empty()) {
       break;
     }
+    // The adopted connection is the whole job: done once it closed (its
+    // done frame fully flushed) and its campaign left the scheduler.
+    if (adopted && conns_.empty() && campaigns_.empty()) break;
 
     assignWork();
 
     std::vector<pollfd> fds;
     std::vector<PollRef> refs;
-    fds.push_back(pollfd{listenFd_, POLLIN, 0});
-    refs.push_back({Ref::Listener, 0});
+    if (listenFd_ >= 0) {
+      fds.push_back(pollfd{listenFd_, POLLIN, 0});
+      refs.push_back({Ref::Listener, 0});
+    }
     if (drainReadFd_ >= 0) {
       fds.push_back(pollfd{drainReadFd_, POLLIN, 0});
       refs.push_back({Ref::DrainPipe, 0});
@@ -1230,19 +1241,16 @@ ServeResult Server::run() {
 
 }  // namespace
 
-ServeResult runCampaignServer(const ServeOptions& opt) { return Server(opt).run(); }
+ServeResult runCampaignServer(const ServeOptions& opt) { return Server(opt, -1).run(); }
 
 // --- client ------------------------------------------------------------------
 
 namespace {
 
-/// One connect-submit-stream attempt; submitCampaign wraps it in the retry
-/// loop.
-SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& opt) {
+/// Submit `spec` over a connected socket and stream the campaign back:
+/// frames until done, reject or failure, then the merge. Closes `fd`.
+SubmitOutcome streamCampaign(int fd, const CampaignSpec& spec, const SubmitOptions& opt) {
   SubmitOutcome out;
-  const int fd = connectToServer(opt.socketPath, opt.tcpPort, out.error);
-  if (fd < 0) return out;
-
   ClientSubmitFrame submit;
   submit.clientName = opt.clientName;
   submit.spec = encodeCampaignSpec(spec);
@@ -1332,6 +1340,15 @@ SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& 
   return out;
 }
 
+/// One connect-submit-stream attempt; submitCampaign wraps it in the retry
+/// loop.
+SubmitOutcome submitCampaignOnce(const CampaignSpec& spec, const SubmitOptions& opt) {
+  SubmitOutcome out;
+  const int fd = connectToServer(opt.socketPath, opt.tcpPort, out.error);
+  if (fd < 0) return out;
+  return streamCampaign(fd, spec, opt);
+}
+
 }  // namespace
 
 SubmitOutcome submitCampaign(const CampaignSpec& spec, const SubmitOptions& opt) {
@@ -1365,6 +1382,33 @@ SubmitOutcome submitCampaign(const CampaignSpec& spec, const SubmitOptions& opt)
     backoffMs *= 2;
   }
   return out;
+}
+
+PoolRunResult runCampaignOnPool(const CampaignSpec& spec, const ServeOptions& opt) {
+  ignoreSigpipe();
+  int sv[2];
+  // CLOEXEC: a worker inheriting either end would hold the connection open
+  // past its close and hide the EOF both sides rely on.
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    throw DispatchError(std::string("socketpair failed: ") + std::strerror(errno));
+  }
+  PoolRunResult res;
+  std::exception_ptr serverError;
+  std::thread server([&] {
+    try {
+      res.ledger = Server(opt, sv[0]).run().ledger;
+    } catch (...) {
+      // The Server's destructor has closed sv[0], so the client below sees
+      // EOF instead of waiting forever; the error is rethrown after join.
+      serverError = std::current_exception();
+    }
+  });
+  SubmitOptions client;
+  client.clientName = "run";
+  res.outcome = streamCampaign(sv[1], spec, client);
+  server.join();
+  if (serverError) std::rethrow_exception(serverError);
+  return res;
 }
 
 // --- ledger JSON -------------------------------------------------------------
@@ -1418,7 +1462,21 @@ std::string encodeServeLedgerJson(const ServeLedger& ledger) {
     out += ", \"name\": \"" + escape(c.name) + "\"";
     out += ", \"unitsTotal\": " + std::to_string(c.unitsTotal);
     out += ", \"unitsCompleted\": " + std::to_string(c.unitsCompleted);
-    out += ", \"requeues\": " + std::to_string(c.requeues);
+    out += ", \"requeues\": " + std::to_string(c.requeuedShards.size());
+    out += ", \"requeuedShards\": [";
+    for (std::size_t r = 0; r < c.requeuedShards.size(); ++r) {
+      const RequeueRecord& q = c.requeuedShards[r];
+      if (r > 0) out += ", ";
+      out += "{\"taskIndex\": " + std::to_string(q.taskIndex);
+      out += ", \"itemId\": " + std::to_string(q.unit.taskId);
+      out += ", \"mutantBegin\": " + std::to_string(q.unit.mutantBegin);
+      out += ", \"mutantEnd\": " + std::to_string(q.unit.mutantEnd);
+      out += ", \"attempt\": " + std::to_string(q.attempt);
+      out += ", \"reason\": \"" + escape(q.reason) + "\"";
+      out += ", \"workerIndex\": " + std::to_string(q.workerIndex);
+      out += ", \"generation\": " + std::to_string(q.generation) + "}";
+    }
+    out += "]";
     out += ", \"discardedResults\": " + std::to_string(c.discardedResults);
     out += std::string(", \"cancelled\": ") + (c.cancelled ? "true" : "false");
     out += ", \"error\": \"" + escape(c.error) + "\"";

@@ -1,15 +1,17 @@
-// Campaign service: socket front end over the dispatcher worker pool.
+// Campaign service: one worker-pool core for every daemon mode.
 //
-// PR 7's dispatcher (campaign/dispatch.h) runs ONE campaign through a
-// work-stealing pool and exits. This layer is the ROADMAP campaign-service
-// sub-step (2): a long-lived server that listens on a Unix-domain socket
-// (optionally loopback TCP), accepts campaign submissions from many
-// concurrent clients, and multiplexes them over a single worker pool and
-// one shared artifact store. The wire protocol is the same length-framed
-// codec-document stream the workers speak — FrameReader is transport-
-// agnostic, so pointing it at a socket fd instead of a pipe is the whole
-// transport change. Client-facing frame schemas live in campaign/serialize
-// (codec v6): ClientSubmitFrame -> AcceptFrame | RejectFrame, then streamed
+// A long-lived server listens on a Unix-domain socket (optionally loopback
+// TCP), accepts campaign submissions from many concurrent clients, and
+// multiplexes them over a single worker pool and one shared artifact store
+// (the pool's building blocks — frame transport, TaskQueue, worker loop —
+// are in campaign/dispatch.h). The single-campaign `xlv_campaignd run` mode
+// is the same engine with one adopted connection instead of a listener
+// (runCampaignOnPool below), so both modes share spawn, heartbeat, death
+// handling, re-queue, quarantine and the ledger. The wire protocol is the
+// length-framed codec-document stream the workers speak — FrameReader is
+// transport-agnostic, so a socket fd and a pipe look the same.
+// Client-facing frame schemas live in campaign/serialize:
+// ClientSubmitFrame -> AcceptFrame | RejectFrame, then streamed
 // ItemResultFrames and a final CampaignDoneFrame.
 //
 // Scheduling is ROUND-ROBIN FAIR ACROSS campaigns and HEAVIEST-FIRST WITHIN
@@ -25,20 +27,18 @@
 // single campaign bigger than the whole budget is still servable.
 //
 // Crash semantics, both directions:
-//   * worker death  — exactly the dispatcher's recovery: salvage drained
-//     results, re-queue the lost unit (attributed to its owning campaign's
-//     ledger entry), respawn the slot. A unit exhausting its attempt budget
-//     fails ONLY its campaign (CampaignDoneFrame with error), never the
-//     server.
+//   * worker death  — salvage drained results, re-queue the lost unit
+//     (recorded in its owning campaign's ledger entry), respawn the slot.
+//     A unit exhausting its attempt budget is bisected or quarantined: it
+//     costs its own item, never its campaign or the server.
 //   * client death  — a dying client's campaign is cancelled: its pending
 //     units leave the scheduler immediately, in-flight units run to
 //     completion with their results discarded (counted, not merged), and
 //     the cancellation lands in the per-campaign ledger.
 //
-// The server itself is single-threaded (one poll(2) loop, like the
-// dispatcher) and every fd — listener, clients, worker pipes — is
-// non-blocking with per-connection outbound buffers (OutboundBuffer), so no
-// peer can wedge the loop.
+// The server itself is single-threaded (one poll(2) loop) and every fd —
+// listener, clients, worker pipes — is non-blocking with per-connection
+// outbound buffers (OutboundBuffer), so no peer can wedge the loop.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,10 @@ struct ServeOptions {
   /// Default stealable-unit granularity for submissions that do not set
   /// their own (ClientSubmitFrame::maxFragmentMutants == 0).
   std::size_t maxFragmentMutants = 0;
-  /// Command prefix that execs one worker (same contract as
-  /// DispatchOptions::workerCommand, minus "--spec": served units carry
-  /// their spec handoff path per-frame). Required.
+  /// Command prefix that execs ONE WORKER speaking the frame protocol on
+  /// stdin/stdout; the server appends "--index <i> --generation <g>
+  /// --heartbeat-ms <n>". Units carry their spec handoff path per frame.
+  /// Required.
   std::vector<std::string> workerCommand;
   int heartbeatIntervalMs = 200;
   int heartbeatTimeoutMs = 10000;
@@ -102,15 +103,26 @@ struct ServeOptions {
   bool enableSignalDrain = false;
 };
 
+/// One lost unit attempt, as surfaced in the ledger: a killed worker's unit
+/// must show up here AND in the merged result.
+struct RequeueRecord {
+  std::uint64_t taskIndex = 0;
+  ShardUnit unit;
+  std::uint64_t attempt = 0;  ///< 1-based submission attempt that was lost
+  std::string reason;  ///< "worker-exit" | "worker-signal" | "heartbeat-timeout" | "submit-write-failed" | "protocol-error"
+  std::uint64_t workerIndex = 0;
+  std::uint64_t generation = 0;
+};
+
 /// One admitted campaign's scheduling record.
 struct CampaignLedgerEntry {
   std::uint64_t campaignId = 0;
   std::string name;  ///< ClientSubmitFrame::clientName
   std::uint64_t unitsTotal = 0;
   std::uint64_t unitsCompleted = 0;
-  /// Crash-recovery re-queues attributed to this campaign (its units lost
-  /// to dead/hung workers).
-  std::uint64_t requeues = 0;
+  /// Every attempt of this campaign's units lost to a dead or hung worker,
+  /// including the last one before a bisection or quarantine.
+  std::vector<RequeueRecord> requeuedShards;
   /// Results that arrived after this campaign was cancelled and were
   /// dropped instead of forwarded.
   std::uint64_t discardedResults = 0;
@@ -164,8 +176,9 @@ struct ServeResult {
 /// address, empty workerCommand, non-positive timeouts).
 ServeResult runCampaignServer(const ServeOptions& opt);
 
-/// The ledger as a JSON object (CI uploads it next to the dispatcher's
-/// BENCH_campaignd_ledger.json; per-campaign entries under "campaigns").
+/// The ledger as a JSON object (CI uploads it next to the BENCH_*.json
+/// artifacts): per-campaign entries under "campaigns", each with its
+/// "requeues" count and the "requeuedShards" records.
 std::string encodeServeLedgerJson(const ServeLedger& ledger);
 
 // --- client ------------------------------------------------------------------
@@ -230,5 +243,22 @@ struct SubmitOutcome {
 /// returns when the campaign finished, was rejected, or the connection
 /// failed — never throws, errors land in SubmitOutcome::error).
 SubmitOutcome submitCampaign(const CampaignSpec& spec, const SubmitOptions& opt);
+
+// --- single-campaign run -----------------------------------------------------
+
+struct PoolRunResult {
+  SubmitOutcome outcome;  ///< merged result, quarantine list, errors
+  ServeLedger ledger;     ///< one campaign entry (none if the submission was rejected)
+};
+
+/// Run ONE campaign through the serve engine (`xlv_campaignd run`): the
+/// server runs on a thread with one end of a socketpair adopted as its only
+/// client connection (no listener; opt.socketPath / tcpPort are ignored),
+/// and this thread drives the other end with the submitCampaign stream
+/// code. The server stops once that connection closes. Blocks until the
+/// campaign finished; returns the merged outcome and the server's ledger.
+/// Rethrows what the server thread threw: DispatchError when the whole
+/// worker pool is lost, std::invalid_argument on malformed options.
+PoolRunResult runCampaignOnPool(const CampaignSpec& spec, const ServeOptions& opt);
 
 }  // namespace xlv::campaign

@@ -302,7 +302,7 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
     throw std::invalid_argument("merge: no shard outputs");
   }
   const int shardCount = outputs.front().shardCount;
-  // Re-queued work may deliver a shard twice (the dispatcher's crash-recovery
+  // Re-queued work may deliver a shard twice (the server's crash-recovery
   // retry can race its dead predecessor's already-written output), so
   // duplicates of one shard index are tolerated — they must re-run the same
   // units — and coverage means every index seen AT LEAST once.

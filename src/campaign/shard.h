@@ -76,7 +76,7 @@ struct ShardPlanOptions {
 std::size_t countFlowMutants(const ips::CaseStudy& cs, const core::FlowOptions& opts);
 
 /// The flat stealable-unit plan underneath planShards, exposed for the
-/// dispatcher daemon (campaign/dispatch.h): every unit in global task-id
+/// campaign server (campaign/server.h): every unit in global task-id
 /// order (fragments of one item in range order) with the planner's weights,
 /// so a work-stealing scheduler can order its queue heaviest-first instead
 /// of balancing statically.
@@ -118,7 +118,7 @@ ShardOutput runShard(const CampaignSpec& spec, const ShardPlan& plan, int shardI
 
 /// Execute an arbitrary unit list as shard `shardIndex` of `shardCount` in
 /// this process, tagging every result with its GLOBAL task id. runShard is
-/// a plan-validated wrapper; the dispatcher daemon calls this directly with
+/// a plan-validated wrapper; the campaign worker calls this directly with
 /// one stealable unit per task (shardIndex = task index, shardCount = task
 /// count, so each streamed result is a mergeable one-unit ShardOutput).
 ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>& units,
@@ -130,7 +130,7 @@ ShardOutput runShardUnits(const CampaignSpec& spec, const std::vector<ShardUnit>
 /// fragment ranges contiguous from 0) and fragment report sizes, throwing
 /// std::invalid_argument with a diagnostic otherwise.
 ///
-/// Retry tolerance: a double-submitted shard or fragment (the dispatcher
+/// Retry tolerance: a double-submitted shard or fragment (the server
 /// re-queues work lost to a crashed worker, and a retry can race its dead
 /// predecessor's already-delivered result) is deduplicated by fragment id —
 /// (taskId, mutantBegin, mutantEnd) — keeping the copy from the

@@ -1,6 +1,7 @@
 #include "sensors/counter_monitor.h"
 
 #include <map>
+#include <mutex>
 #include <tuple>
 
 namespace xlv::sensors {
@@ -8,7 +9,11 @@ namespace xlv::sensors {
 using namespace xlv::ir;
 
 std::shared_ptr<const Module> buildCounterMonitor(const CounterConfig& cfg) {
+  // Same contract as buildRazor: one shared Module per config, built once
+  // even when campaign worker threads race here.
+  static std::mutex mutex;
   static std::map<std::tuple<int, int, int>, std::shared_ptr<const Module>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
   const auto key = std::make_tuple(cfg.measWidth, cfg.threshold, cfg.cpsWidth);
   auto it = cache.find(key);
   if (it != cache.end()) return it->second;

@@ -1,13 +1,18 @@
 #include "sensors/razor.h"
 
 #include <map>
+#include <mutex>
 
 namespace xlv::sensors {
 
 using namespace xlv::ir;
 
 std::shared_ptr<const Module> buildRazor(int width) {
+  // Insertion runs on campaign worker threads: the lock makes each width
+  // build once and every caller share that one Module.
+  static std::mutex mutex;
   static std::map<int, std::shared_ptr<const Module>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(width);
   if (it != cache.end()) return it->second;
 

@@ -38,7 +38,7 @@ class DecodeError : public std::runtime_error {
 
 /// Parse the document header "xlv <tag> v<version>" and return its tag
 /// without consuming any fields — how a stream multiplexing several
-/// document kinds (the dispatcher's submit/status/result/heartbeat frames)
+/// document kinds (the worker pool's submit/status/result/heartbeat frames)
 /// picks the decoder to run. Throws DecodeError on a malformed header; the
 /// version is still validated by the actual Decoder afterwards.
 std::string peekDocumentTag(std::string_view data);

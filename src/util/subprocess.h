@@ -5,10 +5,10 @@
 //     simulation backend shells out to the system C++ compiler): POSIX
 //     fork/execvp with stdout+stderr captured into one string.
 //   * Subprocess — an asynchronous child handle for long-lived workers
-//     (campaign/dispatch.h): stdin/stdout pipes for a frame protocol,
+//     (campaign/server.h): stdin/stdout pipes for a frame protocol,
 //     non-blocking liveness polling via waitpid(WNOHANG), signal delivery
 //     (SIGKILL on heartbeat timeout) and guaranteed reaping on destruction,
-//     so a dispatcher owning N workers never leaks zombies.
+//     so a server owning N workers never leaks zombies.
 #pragma once
 
 #include <sys/types.h>
@@ -37,14 +37,14 @@ struct SubprocessResult {
 SubprocessResult runCommandCapture(const std::vector<std::string>& argv);
 
 /// Put `fd` into O_NONBLOCK mode (preserving the other status flags).
-/// The dispatcher and the campaign server switch every worker/client fd to
-/// non-blocking and buffer outbound bytes per connection, so one peer with
+/// The campaign server switches every worker/client fd to
+/// non-blocking and buffers outbound bytes per connection, so one peer with
 /// a full pipe can never wedge the single-threaded poll loop. Returns false
 /// when fcntl fails (bad fd).
 bool setNonBlocking(int fd) noexcept;
 
 /// Extra environment entries set in the child after fork (inheriting the
-/// parent environment otherwise); the dispatcher uses this for per-worker
+/// parent environment otherwise); the campaign server uses this for per-worker
 /// coordinates (XLV_WORKER_INDEX / XLV_WORKER_GENERATION).
 using SubprocessEnv = std::vector<std::pair<std::string, std::string>>;
 

@@ -1,15 +1,16 @@
-// The dispatcher's crash-recovery lock: fault-injection against the REAL
-// daemon worker binary (tools/xlv_campaignd, via the XLV_CAMPAIGND_BIN
-// compile definition).
+// The single-campaign run mode's crash-recovery lock: fault-injection
+// against the REAL daemon worker binary (tools/xlv_campaignd, via the
+// XLV_CAMPAIGND_BIN compile definition).
 //
-// Each test runs the builtin "single" campaign through runDispatcher with a
-// 3-worker pool of actual subprocesses, injects one fault into worker 0's
-// first generation through the XLV_TEST_* hooks (SIGKILL mid-shard, hang
-// without heartbeats, nonzero exit), and asserts the two halves of the
-// acceptance criterion:
+// Each test runs the builtin "single" campaign through runCampaignOnPool
+// (the `xlv_campaignd run` entry point: the serve engine with one adopted
+// connection) with a 3-worker pool of actual subprocesses, injects one
+// fault into worker 0's first generation through the XLV_TEST_* hooks
+// (SIGKILL mid-shard, hang without heartbeats, nonzero exit, poison unit),
+// and asserts the two halves of the acceptance criterion:
 //
-//   1. the lost unit shows up in ledger.requeuedShards with the right
-//      reason, and
+//   1. the lost unit shows up in the campaign's requeuedShards ledger
+//      records with the right reason, and
 //   2. the merged result is CampaignResult::sameResults-bit-identical to a
 //      single-process runCampaign of the same spec — the retry changed
 //      nothing observable.
@@ -23,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/dispatch.h"
+#include "campaign/server.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
 
@@ -35,6 +36,8 @@ const char* const kFaultVars[] = {
     "XLV_TEST_HANG_AFTER_ITEMS",
     "XLV_TEST_EXIT_AFTER_ITEMS",
     "XLV_TEST_FAULT_WORKER",
+    "XLV_TEST_POISON_ITEM",
+    "XLV_TEST_POISON_MUTANT",
 };
 
 /// Clears every fault hook on construction AND destruction, so a failing
@@ -62,8 +65,8 @@ const CampaignResult& referenceResult() {
   return *ref;
 }
 
-DispatchOptions daemonOptions() {
-  DispatchOptions opt;
+ServeOptions daemonOptions() {
+  ServeOptions opt;
   opt.workers = 3;
   // Fragment to 2 mutants per unit so a dozen-plus stealable units exist
   // and a mid-campaign kill genuinely loses work in flight.
@@ -72,6 +75,13 @@ DispatchOptions daemonOptions() {
   opt.heartbeatIntervalMs = 100;
   opt.heartbeatTimeoutMs = 5000;
   return opt;
+}
+
+/// The one campaign entry of a run's ledger (every admitted run has one).
+const CampaignLedgerEntry& campaignEntry(const PoolRunResult& out) {
+  static const CampaignLedgerEntry none;
+  EXPECT_EQ(out.ledger.campaigns.size(), 1u);
+  return out.ledger.campaigns.empty() ? none : out.ledger.campaigns.front();
 }
 
 #define XLV_REQUIRE_DAEMON()                                                \
@@ -84,13 +94,15 @@ TEST(DispatchFault, CleanDaemonRunIsBitIdenticalToSingleProcess) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const DispatchResult out = runDispatcher(spec, daemonOptions());
-  EXPECT_TRUE(out.result.ok());
-  EXPECT_TRUE(referenceResult().sameResults(out.result));
-  EXPECT_GT(out.ledger.tasksTotal, 1u) << "fragmentation produced no stealable units";
-  EXPECT_EQ(out.ledger.tasksCompleted, out.ledger.tasksTotal);
-  EXPECT_EQ(out.ledger.submissions, out.ledger.tasksTotal);
-  EXPECT_TRUE(out.ledger.requeuedShards.empty());
+  const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
+  const CampaignLedgerEntry& entry = campaignEntry(out);
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  EXPECT_TRUE(out.outcome.result.ok());
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
+  EXPECT_GT(entry.unitsTotal, 1u) << "fragmentation produced no stealable units";
+  EXPECT_EQ(entry.unitsCompleted, entry.unitsTotal);
+  EXPECT_EQ(out.ledger.submissions, entry.unitsTotal);
+  EXPECT_TRUE(entry.requeuedShards.empty());
   EXPECT_EQ(out.ledger.workerRespawns, 0u);
   EXPECT_EQ(out.ledger.workersKilled, 0u);
   EXPECT_EQ(out.ledger.workersSpawned, 3u);
@@ -103,23 +115,25 @@ TEST(DispatchFault, SigkilledWorkerShardIsRequeuedAndMergeStaysBitIdentical) {
   // the crash-mid-shard case of the ISSUE, via the documented test hook.
   env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const DispatchResult out = runDispatcher(spec, daemonOptions());
+  const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
+  const CampaignLedgerEntry& entry = campaignEntry(out);
 
   // The lost unit is visible in the ledger...
-  ASSERT_FALSE(out.ledger.requeuedShards.empty());
-  const RequeueRecord& rec = out.ledger.requeuedShards.front();
+  ASSERT_FALSE(entry.requeuedShards.empty());
+  const RequeueRecord& rec = entry.requeuedShards.front();
   EXPECT_EQ(rec.reason, "worker-signal");
   EXPECT_EQ(rec.workerIndex, 0u);
   EXPECT_EQ(rec.generation, 0u);
   EXPECT_EQ(rec.attempt, 1u);
   EXPECT_GE(out.ledger.workerRespawns, 1u);
-  EXPECT_GT(out.ledger.submissions, out.ledger.tasksTotal)
+  EXPECT_GT(out.ledger.submissions, entry.unitsTotal)
       << "a re-queued unit must be submitted again";
-  EXPECT_EQ(out.ledger.tasksCompleted, out.ledger.tasksTotal);
+  EXPECT_EQ(entry.unitsCompleted, entry.unitsTotal);
 
   // ...and invisible in the result: the retry is bit-identical.
-  EXPECT_TRUE(out.result.ok());
-  EXPECT_TRUE(referenceResult().sameResults(out.result));
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  EXPECT_TRUE(out.outcome.result.ok());
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
 }
 
 TEST(DispatchFault, HungWorkerHitsHeartbeatTimeoutAndItsShardIsRequeued) {
@@ -127,21 +141,23 @@ TEST(DispatchFault, HungWorkerHitsHeartbeatTimeoutAndItsShardIsRequeued) {
   FaultEnv env;
   // Worker 0 accepts a unit, then goes silent (no heartbeats, no result).
   env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
-  DispatchOptions opt = daemonOptions();
+  ServeOptions opt = daemonOptions();
   // Tight liveness window so the test completes quickly; the real default
   // stays at 10 s.
   opt.heartbeatIntervalMs = 50;
   opt.heartbeatTimeoutMs = 400;
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const DispatchResult out = runDispatcher(spec, opt);
+  const PoolRunResult out = runCampaignOnPool(spec, opt);
+  const CampaignLedgerEntry& entry = campaignEntry(out);
 
-  ASSERT_FALSE(out.ledger.requeuedShards.empty());
-  EXPECT_EQ(out.ledger.requeuedShards.front().reason, "heartbeat-timeout");
+  ASSERT_FALSE(entry.requeuedShards.empty());
+  EXPECT_EQ(entry.requeuedShards.front().reason, "heartbeat-timeout");
   EXPECT_GE(out.ledger.workersKilled, 1u) << "the hung worker must be SIGKILLed";
   EXPECT_GE(out.ledger.workerRespawns, 1u);
-  EXPECT_EQ(out.ledger.tasksCompleted, out.ledger.tasksTotal);
-  EXPECT_TRUE(out.result.ok());
-  EXPECT_TRUE(referenceResult().sameResults(out.result));
+  EXPECT_EQ(entry.unitsCompleted, entry.unitsTotal);
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  EXPECT_TRUE(out.outcome.result.ok());
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
 }
 
 TEST(DispatchFault, NonzeroExitWorkerShardIsRequeued) {
@@ -149,14 +165,16 @@ TEST(DispatchFault, NonzeroExitWorkerShardIsRequeued) {
   FaultEnv env;
   env.set("XLV_TEST_EXIT_AFTER_ITEMS", "0");
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const DispatchResult out = runDispatcher(spec, daemonOptions());
+  const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
+  const CampaignLedgerEntry& entry = campaignEntry(out);
 
-  ASSERT_FALSE(out.ledger.requeuedShards.empty());
-  EXPECT_EQ(out.ledger.requeuedShards.front().reason, "worker-exit");
+  ASSERT_FALSE(entry.requeuedShards.empty());
+  EXPECT_EQ(entry.requeuedShards.front().reason, "worker-exit");
   EXPECT_GE(out.ledger.workerRespawns, 1u);
-  EXPECT_EQ(out.ledger.tasksCompleted, out.ledger.tasksTotal);
-  EXPECT_TRUE(out.result.ok());
-  EXPECT_TRUE(referenceResult().sameResults(out.result));
+  EXPECT_EQ(entry.unitsCompleted, entry.unitsTotal);
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  EXPECT_TRUE(out.outcome.result.ok());
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
 }
 
 TEST(DispatchFault, FaultOnALaterWorkerSlotRecoversToo) {
@@ -167,32 +185,77 @@ TEST(DispatchFault, FaultOnALaterWorkerSlotRecoversToo) {
   env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");
   env.set("XLV_TEST_FAULT_WORKER", "2");
   const CampaignSpec spec = builtinCampaignSpec("single");
-  const DispatchResult out = runDispatcher(spec, daemonOptions());
+  const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
+  const CampaignLedgerEntry& entry = campaignEntry(out);
 
-  ASSERT_FALSE(out.ledger.requeuedShards.empty());
-  EXPECT_EQ(out.ledger.requeuedShards.front().workerIndex, 2u);
-  EXPECT_EQ(out.ledger.requeuedShards.front().reason, "worker-signal");
-  EXPECT_TRUE(out.result.ok());
-  EXPECT_TRUE(referenceResult().sameResults(out.result));
+  ASSERT_FALSE(entry.requeuedShards.empty());
+  EXPECT_EQ(entry.requeuedShards.front().workerIndex, 2u);
+  EXPECT_EQ(entry.requeuedShards.front().reason, "worker-signal");
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  EXPECT_TRUE(out.outcome.result.ok());
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
+}
+
+TEST(DispatchFault, RunQuarantinesPoisonUnit) {
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  // Every worker of every generation SIGKILLs itself on item 0's mutant 1.
+  // Attempt exhaustion used to fail the whole run (exit 6); the serve
+  // engine's quarantine now narrows the loss to the poisoned item.
+  env.set("XLV_TEST_POISON_ITEM", "0");
+  env.set("XLV_TEST_POISON_MUTANT", "1");
+  CampaignSpec spec = builtinCampaignSpec("smoke");
+  ASSERT_GE(spec.items.size(), 3u);
+  spec.items.resize(3);
+  spec.name = "run-quarantine";
+  ServeOptions opt = daemonOptions();
+  opt.maxTaskAttempts = 2;
+  opt.maxWorkerRespawns = 50;  // each poison hit costs one respawn
+  const PoolRunResult out = runCampaignOnPool(spec, opt);
+  const CampaignLedgerEntry& entry = campaignEntry(out);
+
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  ASSERT_TRUE(out.outcome.done);
+  EXPECT_FALSE(out.outcome.quarantined.empty());
+  EXPECT_FALSE(entry.quarantined.empty());
+  EXPECT_EQ(campaignExitCode(out.outcome.result), 3);
+  // Every lost attempt is recorded, the one that triggered the quarantine
+  // included: at least maxTaskAttempts records for the poisoned unit.
+  EXPECT_GE(entry.requeuedShards.size(), 2u);
+
+  core::clearProcessCaches();
+  const CampaignResult local = runCampaign(spec);
+  ASSERT_EQ(out.outcome.result.items.size(), local.items.size());
+  for (std::size_t i = 0; i < local.items.size(); ++i) {
+    const CampaignItemResult& got = out.outcome.result.items[i];
+    if (got.taskId == 0) {
+      EXPECT_NE(got.error.find("quarantined"), std::string::npos) << got.error;
+      continue;
+    }
+    CampaignResult a, b;
+    a.items.push_back(got);
+    b.items.push_back(local.items[i]);
+    EXPECT_TRUE(a.sameResults(b)) << "non-poisoned item " << i << " diverged";
+  }
 }
 
 TEST(DispatchFault, DispatcherRejectsMalformedOptions) {
   FaultEnv env;
   const CampaignSpec spec = builtinCampaignSpec("single");
   {
-    DispatchOptions opt = daemonOptions();
+    ServeOptions opt = daemonOptions();
     opt.workerCommand.clear();
-    EXPECT_THROW(runDispatcher(spec, opt), std::invalid_argument);
+    EXPECT_THROW(runCampaignOnPool(spec, opt), std::invalid_argument);
   }
   {
-    DispatchOptions opt = daemonOptions();
+    ServeOptions opt = daemonOptions();
     opt.heartbeatTimeoutMs = 0;
-    EXPECT_THROW(runDispatcher(spec, opt), std::invalid_argument);
+    EXPECT_THROW(runCampaignOnPool(spec, opt), std::invalid_argument);
   }
   {
-    DispatchOptions opt = daemonOptions();
+    ServeOptions opt = daemonOptions();
     opt.maxTaskAttempts = 0;
-    EXPECT_THROW(runDispatcher(spec, opt), std::invalid_argument);
+    EXPECT_THROW(runCampaignOnPool(spec, opt), std::invalid_argument);
   }
 }
 

@@ -1,4 +1,4 @@
-// Deterministic unit tests of the dispatcher's scheduling layer
+// Deterministic unit tests of the worker pool's scheduling layer
 // (campaign/dispatch.h): the work-stealing TaskQueue under seeded
 // adversarial weights, the frame transport, and the worker-count
 // resolution. No processes are spawned here — the queue is pure state, so
@@ -21,6 +21,7 @@
 
 #include "campaign/dispatch.h"
 #include "campaign/serialize.h"
+#include "campaign/server.h"
 #include "util/codec.h"
 #include "util/subprocess.h"
 
@@ -421,19 +422,21 @@ TEST(DispatchSched, EnvLongStrictThrowsOnMalformedValues) {
 // --- ledger JSON -------------------------------------------------------------
 
 TEST(DispatchSched, LedgerJsonCarriesRequeueRecords) {
-  DispatchLedger ledger;
-  ledger.tasksTotal = 5;
-  ledger.tasksCompleted = 5;
+  ServeLedger ledger;
   ledger.submissions = 6;
+  CampaignLedgerEntry entry;
+  entry.unitsTotal = 5;
+  entry.unitsCompleted = 5;
   RequeueRecord rec;
   rec.taskIndex = 2;
   rec.unit = ShardUnit{0, 4, 8};
   rec.attempt = 1;
   rec.reason = "heartbeat-timeout";
   rec.workerIndex = 1;
-  ledger.requeuedShards.push_back(rec);
-  const std::string json = encodeDispatchLedgerJson(ledger);
-  EXPECT_NE(json.find("\"tasksTotal\": 5"), std::string::npos);
+  entry.requeuedShards.push_back(rec);
+  ledger.campaigns.push_back(entry);
+  const std::string json = encodeServeLedgerJson(ledger);
+  EXPECT_NE(json.find("\"unitsTotal\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"heartbeat-timeout\""), std::string::npos);
   EXPECT_NE(json.find("\"mutantBegin\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"taskIndex\": 2"), std::string::npos);

@@ -71,7 +71,10 @@ TEST(CampaignServer, LedgerJsonCarriesPerCampaignEntries) {
   entry.name = "smoke \"quoted\"";
   entry.unitsTotal = 4;
   entry.unitsCompleted = 2;
-  entry.requeues = 1;
+  RequeueRecord lost;
+  lost.taskIndex = 3;
+  lost.reason = "worker-signal";
+  entry.requeuedShards.push_back(lost);
   entry.cancelled = true;
   entry.error = "gave up";
   entry.bisections = 3;
@@ -90,6 +93,8 @@ TEST(CampaignServer, LedgerJsonCarriesPerCampaignEntries) {
   EXPECT_NE(json.find("\"campaignId\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"cancelled\": true"), std::string::npos);
   EXPECT_NE(json.find("\"requeues\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"reason\": \"worker-signal\""), std::string::npos)
+      << "each lost attempt is a record in the campaign entry";
   EXPECT_NE(json.find("smoke \\\"quoted\\\""), std::string::npos)
       << "ledger names must be JSON-escaped";
   EXPECT_NE(json.find("\"error\": \"gave up\""), std::string::npos);
@@ -287,7 +292,7 @@ TEST(CampaignServer, SigkilledWorkerIsRespawnedAndServedResultStaysBitIdentical)
   EXPECT_GE(ledger.workerRespawns, 1u);
   ASSERT_EQ(ledger.campaigns.size(), 1u);
   // The lost unit's re-queue is attributed to the campaign that owned it.
-  EXPECT_GE(ledger.campaigns.front().requeues, 1u);
+  EXPECT_GE(ledger.campaigns.front().requeuedShards.size(), 1u);
   EXPECT_EQ(ledger.campaigns.front().unitsCompleted, ledger.campaigns.front().unitsTotal);
 }
 
@@ -348,9 +353,9 @@ TEST(CampaignServer, SmallCampaignsFinishBeforeAHugeCampaignsTail) {
   // ledger entry, not a neighbor's.
   for (const CampaignLedgerEntry& entry : ledger.campaigns) {
     if (entry.name == "huge") {
-      EXPECT_GE(entry.requeues, 1u);
+      EXPECT_GE(entry.requeuedShards.size(), 1u);
     } else {
-      EXPECT_EQ(entry.requeues, 0u);
+      EXPECT_EQ(entry.requeuedShards.size(), 0u);
     }
   }
 }

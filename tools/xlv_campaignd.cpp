@@ -1,16 +1,29 @@
-// xlv_campaignd — campaign dispatcher daemon (campaign/dispatch.h) and
-// campaign service (campaign/server.h).
+// xlv_campaignd — the campaign service (campaign/server.h) and its
+// single-campaign `run` mode.
 //
 // Where xlv_campaign shards a campaign STATICALLY (plan once, run each slice
 // in its own process, merge by hand), the daemon owns the whole loop: it
 // splits the spec into stealable units (whole items and mutant-range
 // fragments), spawns a pool of worker subprocesses of ITSELF (the internal
 // `worker` subcommand), schedules by work-stealing — an idle worker claims
-// the heaviest queued unit — and merges the streamed results incrementally
-// into one CampaignResult that is bit-identical (sameResults) to the
-// single-process run. A worker that crashes, exits or goes silent past the
-// heartbeat timeout is SIGKILLed/reaped and its unit re-queued; the retry
-// is safe because unit results are bit-identical by construction.
+// the heaviest queued unit — and merges the streamed results into one
+// CampaignResult that is bit-identical (sameResults) to the single-process
+// run. A worker that crashes, exits or goes silent past the heartbeat
+// timeout is SIGKILLed/reaped and its unit re-queued; a unit that exhausts
+// its attempt budget is bisected down to the poison mutant and quarantined
+// with a per-item error.
+//
+// `serve` is the long-lived service on a Unix-domain socket (or loopback
+// TCP): many clients submit campaigns concurrently (`xlv_campaign submit
+// --socket ...`), units are scheduled round-robin-fair across campaigns and
+// heaviest-first within one, results stream back per unit, and a bounded
+// admission queue answers overload with a structured reject:
+//
+//   xlv_campaignd serve --socket /tmp/xlv.sock --workers 3 \
+//                       --max-campaigns-served 3 --ledger serve_ledger.json
+//
+// `run` is ONE campaign over the same serve engine — the server runs
+// in-process with a single adopted connection instead of a listener:
 //
 //   xlv_campaign spec --preset single -o spec.xlv
 //   xlv_campaignd run --spec spec.xlv --workers 3 --max-fragment 2 \
@@ -18,15 +31,7 @@
 //   xlv_campaign run --spec spec.xlv -o single.xlv
 //   xlv_campaign diff single.xlv daemon.xlv     # exit 0 iff identical
 //
-// `serve` turns the same worker pool into a long-lived service on a
-// Unix-domain socket (or loopback TCP): many clients submit campaigns
-// concurrently (`xlv_campaign submit --socket ...`), units are scheduled
-// round-robin-fair across campaigns and heaviest-first within one, results
-// stream back per unit, and a bounded admission queue answers overload with
-// a structured reject instead of buffering without limit:
-//
-//   xlv_campaignd serve --socket /tmp/xlv.sock --workers 3 \
-//                       --max-campaigns-served 3 --ledger serve_ledger.json
+// Both modes write the same serve-ledger JSON (--ledger).
 //
 // Workers accept the same --cache-dir/--cache-max-bytes flags as
 // xlv_campaign run, so the pool shares ONE artifact store: the first worker
@@ -38,13 +43,14 @@
 // corresponding flags). Fault-injection hooks for the test harness
 // (XLV_TEST_DIE_AFTER_ITEMS / XLV_TEST_HANG_AFTER_ITEMS /
 // XLV_TEST_EXIT_AFTER_ITEMS, scoped by XLV_TEST_FAULT_WORKER to one
-// worker's generation 0) are documented in campaign/dispatch.h.
+// worker's generation 0; XLV_TEST_POISON_ITEM / _MUTANT) are documented in
+// campaign/dispatch.h.
 //
 // Exit codes: 0 success, 1 usage or runtime error, 3 campaign completed but
-// one or more items errored (the merged output is still written), 6
-// dispatch failure (a unit exhausted its retry budget, or the whole worker
-// pool died). The internal worker subcommand exits 0 on clean shutdown and
-// nonzero on protocol errors (see campaign/dispatch.h).
+// one or more items errored or were quarantined (the merged output is still
+// written), 6 the whole worker pool was lost (or could not be spawned). The
+// internal worker subcommand exits 0 on clean shutdown and nonzero on
+// protocol errors (see campaign/dispatch.h).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,15 +89,17 @@ using namespace xlv;
       "                    [--max-respawns N] [--max-client-frame-bytes N]\n"
       "                    [--client-read-timeout-ms N] [cache flags]\n"
       "                    [--ledger FILE] [--verbose]\n"
-      "  xlv_campaignd worker [--spec FILE] --index I --generation G\n"
+      "  xlv_campaignd worker --index I --generation G\n"
       "                       --heartbeat-ms N [cache flags]   (internal)\n"
       "\n"
-      "run dispatches one campaign across a pool of worker subprocesses with\n"
-      "work-stealing scheduling and crash-recovery re-queue; the merged\n"
-      "result (-o, default stdout) is bit-identical to a single-process\n"
-      "`xlv_campaign run`. --max-fragment M splits items into mutant-range\n"
-      "fragments of at most M mutants — the stealable unit size. --ledger\n"
-      "writes the scheduling ledger (submissions, re-queues, kills) as JSON.\n"
+      "run is one campaign over the serve engine (no socket): a pool of\n"
+      "worker subprocesses with work-stealing scheduling, crash-recovery\n"
+      "re-queue and poison-unit quarantine; the merged result (-o, default\n"
+      "stdout) is bit-identical to a single-process `xlv_campaign run`.\n"
+      "--max-fragment M splits items into mutant-range fragments of at most\n"
+      "M mutants — the stealable unit size. --ledger writes the serve\n"
+      "ledger (one campaign entry with its re-queue records) as JSON. Exit 3\n"
+      "when items errored or were quarantined, 6 only when the pool is lost.\n"
       "\n"
       "serve accepts campaign submissions from many concurrent clients\n"
       "(`xlv_campaign submit`) on a Unix-domain socket (--socket) or\n"
@@ -253,13 +261,12 @@ std::vector<std::string> workerCommand(const char* self, const Args& a) {
   return cmd;
 }
 
-int cmdRun(const char* self, const Args& a) {
-  if (a.spec.empty()) usage("--spec FILE is required");
+/// ServeOptions shared by run and serve: pool size, unit size, liveness
+/// and retry budgets, worker command.
+campaign::ServeOptions poolOptions(const char* self, const Args& a) {
   if (a.workers < 0) usage("--workers must be >= 0 (0 = XLV_WORKERS or hardware)");
   if (a.maxFragment < 0) usage("--max-fragment must be >= 0 (0 = whole items)");
-  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
-
-  campaign::DispatchOptions opt;
+  campaign::ServeOptions opt;
   opt.workers = static_cast<int>(a.workers);
   opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
   opt.heartbeatIntervalMs = static_cast<int>(
@@ -271,33 +278,48 @@ int cmdRun(const char* self, const Args& a) {
   if (a.maxAttempts > 0) opt.maxTaskAttempts = static_cast<int>(a.maxAttempts);
   if (a.maxRespawns >= 0) opt.maxWorkerRespawns = static_cast<int>(a.maxRespawns);
   opt.workerCommand = workerCommand(self, a);
+  return opt;
+}
 
-  campaign::DispatchResult res;
+int cmdRun(const char* self, const Args& a) {
+  if (a.spec.empty()) usage("--spec FILE is required");
+  const campaign::ServeOptions opt = poolOptions(self, a);
+  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
+
+  campaign::PoolRunResult res;
   try {
-    res = campaign::runDispatcher(spec, opt);
+    res = campaign::runCampaignOnPool(spec, opt);
   } catch (const campaign::DispatchError& e) {
     std::fprintf(stderr, "xlv_campaignd run: %s\n", e.what());
     return 6;
   }
-  writeOutput(a.out, campaign::encodeCampaignResult(res.result));
   if (!a.ledger.empty()) {
-    writeOutput(a.ledger, campaign::encodeDispatchLedgerJson(res.ledger));
+    writeOutput(a.ledger, campaign::encodeServeLedgerJson(res.ledger));
   }
+  const campaign::SubmitOutcome& out = res.outcome;
+  if (!out.done || !out.error.empty()) {
+    std::fprintf(stderr, "xlv_campaignd run: %s\n",
+                 out.rejected ? out.rejectReason.c_str() : out.error.c_str());
+    return 1;
+  }
+  writeOutput(a.out, campaign::encodeCampaignResult(out.result));
+  const std::size_t requeues =
+      res.ledger.campaigns.empty() ? 0 : res.ledger.campaigns.front().requeuedShards.size();
   std::fprintf(stderr,
-               "campaignd: %llu tasks, %llu submissions, %zu re-queues, %llu duplicate "
-               "results, %llu workers spawned (%llu respawns, %llu killed)\n",
-               static_cast<unsigned long long>(res.ledger.tasksTotal),
-               static_cast<unsigned long long>(res.ledger.submissions),
-               res.ledger.requeuedShards.size(),
+               "campaignd: %llu units, %llu submissions, %zu re-queues, %zu quarantined, "
+               "%llu duplicate results, %llu workers spawned (%llu respawns, %llu killed)\n",
+               static_cast<unsigned long long>(out.unitCount),
+               static_cast<unsigned long long>(res.ledger.submissions), requeues,
+               out.quarantined.size(),
                static_cast<unsigned long long>(res.ledger.duplicateResults),
                static_cast<unsigned long long>(res.ledger.workersSpawned),
                static_cast<unsigned long long>(res.ledger.workerRespawns),
                static_cast<unsigned long long>(res.ledger.workersKilled));
-  if (!res.result.ok()) {
-    const auto* first = res.result.firstError();
+  if (!out.result.ok()) {
+    const auto* first = out.result.firstError();
     std::fprintf(stderr, "campaignd finished with item errors; first: task %zu (%s): %s\n",
                  first->taskId, first->label.c_str(), first->error.c_str());
-    return campaign::campaignExitCode(res.result);
+    return campaign::campaignExitCode(out.result);
   }
   return 0;
 }
@@ -306,22 +328,9 @@ int cmdServe(const char* self, const Args& a) {
   if (a.socket.empty() && a.tcpPort <= 0) {
     usage("serve: --socket PATH or --tcp-port P is required");
   }
-  if (a.workers < 0) usage("--workers must be >= 0 (0 = XLV_WORKERS or hardware)");
-  if (a.maxFragment < 0) usage("--max-fragment must be >= 0 (0 = whole items)");
-
-  campaign::ServeOptions opt;
+  campaign::ServeOptions opt = poolOptions(self, a);
   opt.socketPath = a.socket;
   opt.tcpPort = static_cast<int>(a.tcpPort);
-  opt.workers = static_cast<int>(a.workers);
-  opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
-  opt.heartbeatIntervalMs = static_cast<int>(
-      a.heartbeatMs > 0 ? a.heartbeatMs : envPositive("XLV_HEARTBEAT_MS", 200));
-  opt.heartbeatTimeoutMs =
-      static_cast<int>(a.heartbeatTimeoutMs > 0
-                           ? a.heartbeatTimeoutMs
-                           : envPositive("XLV_HEARTBEAT_TIMEOUT_MS", 10000));
-  if (a.maxAttempts > 0) opt.maxTaskAttempts = static_cast<int>(a.maxAttempts);
-  if (a.maxRespawns >= 0) opt.maxWorkerRespawns = static_cast<int>(a.maxRespawns);
   if (a.maxPendingUnits > 0) opt.maxPendingUnits = static_cast<std::size_t>(a.maxPendingUnits);
   if (a.maxCampaigns > 0) opt.maxCampaigns = static_cast<std::size_t>(a.maxCampaigns);
   if (a.maxCampaignsServed > 0) {
@@ -337,7 +346,6 @@ int cmdServe(const char* self, const Args& a) {
   }
   // The daemon owns its process: SIGTERM/SIGINT mean "drain and exit 0".
   opt.enableSignalDrain = true;
-  opt.workerCommand = workerCommand(self, a);
 
   campaign::ServeResult res;
   try {
@@ -367,17 +375,13 @@ int cmdServe(const char* self, const Args& a) {
 int cmdWorker(const Args& a) {
   if (a.index < 0) usage("worker: --index I (>= 0) is required");
   if (a.generation < 0) usage("worker: --generation G (>= 0) is required");
+  if (!a.spec.empty()) usage("worker: --spec is not accepted (submits carry the spec path)");
   configureCache(a);
-  // --spec is optional: run-mode workers get their campaign up front,
-  // serve-mode workers get per-submit spec handoff paths instead.
-  campaign::CampaignSpec spec;
-  const bool haveSpec = !a.spec.empty();
-  if (haveSpec) spec = campaign::decodeCampaignSpec(readFile(a.spec));
   campaign::DispatchWorkerOptions opt;
   opt.workerIndex = static_cast<int>(a.index);
   opt.generation = static_cast<int>(a.generation);
   opt.heartbeatIntervalMs = a.heartbeatMs > 0 ? static_cast<int>(a.heartbeatMs) : 200;
-  return campaign::runDispatchWorker(haveSpec ? &spec : nullptr, opt);
+  return campaign::runDispatchWorker(opt);
 }
 
 }  // namespace
