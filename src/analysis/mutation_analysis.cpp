@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -12,6 +13,7 @@
 #include "analysis/mutant_cache.h"
 #include "campaign/executor.h"
 #include "util/artifact_store.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace xlv::analysis {
@@ -49,22 +51,21 @@ SimBackend simBackendFromName(std::string_view name) {
                               "' (expected auto, interpreter or native)");
 }
 
-SimBackend resolveSimBackend(SimBackend requested) noexcept {
+SimBackend resolveSimBackend(SimBackend requested) {
   if (requested != SimBackend::Auto) return requested;
-  if (const char* v = std::getenv("XLV_BACKEND"); v != nullptr) {
-    const std::string_view name(v);
-    if (name == "native") return SimBackend::Native;
-    if (name == "interpreter") return SimBackend::Interpreter;
+  const char* v = std::getenv("XLV_BACKEND");
+  if (v == nullptr || *v == '\0') return SimBackend::Interpreter;
+  try {
+    return simBackendFromName(v) == SimBackend::Native ? SimBackend::Native
+                                                       : SimBackend::Interpreter;
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("XLV_BACKEND: ") + e.what());
   }
-  return SimBackend::Interpreter;
 }
 
-int resolveBatchSize(int requested) noexcept {
+int resolveBatchSize(int requested) {
   if (requested >= 1) return requested;
-  if (const char* v = std::getenv("XLV_BATCH"); v != nullptr) {
-    return std::max(1, std::atoi(v));
-  }
-  return 1;
+  return static_cast<int>(util::envLongStrict("XLV_BATCH", 1, 1, INT_MAX));
 }
 
 namespace {

@@ -70,11 +70,14 @@ const char* simBackendName(SimBackend b) noexcept;
 /// Inverse of simBackendName; throws std::invalid_argument on anything else.
 SimBackend simBackendFromName(std::string_view name);
 /// Resolve Auto against the XLV_BACKEND environment variable (one env read
-/// per call; campaigns resolve once at prepare time).
-SimBackend resolveSimBackend(SimBackend requested) noexcept;
+/// per call; campaigns resolve once at prepare time). Unset, empty or
+/// "auto" mean the interpreter; a name simBackendFromName rejects throws
+/// std::invalid_argument.
+SimBackend resolveSimBackend(SimBackend requested);
 /// Resolve a batch size: values >= 1 pass through; 0 defers to the
-/// XLV_BATCH environment variable, defaulting to 1 (no batching).
-int resolveBatchSize(int requested) noexcept;
+/// XLV_BATCH environment variable (an integer >= 1, strictly parsed by
+/// util::envLongStrict), defaulting to 1 (no batching).
+int resolveBatchSize(int requested);
 
 struct MutantResult {
   int id = -1;

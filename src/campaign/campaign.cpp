@@ -35,28 +35,24 @@ const CampaignItemResult* CampaignResult::find(const std::string& label) const n
   return nullptr;
 }
 
+bool CampaignItemResult::sameResults(const CampaignItemResult& other) const noexcept {
+  const auto& rx = report;
+  const auto& ry = other.report;
+  return label == other.label && error == other.error && rx.ipName == ry.ipName &&
+         rx.sensorKind == ry.sensorKind && rx.hfRatio == ry.hfRatio &&
+         rx.sensors.size() == ry.sensors.size() &&
+         rx.skippedEndpoints == ry.skippedEndpoints &&
+         rx.sensorAreaGates == ry.sensorAreaGates &&
+         rx.sta.criticalCount == ry.sta.criticalCount &&
+         rx.sta.thresholdPs == ry.sta.thresholdPs && rx.loc.rtlClean == ry.loc.rtlClean &&
+         rx.loc.rtlAugmented == ry.loc.rtlAugmented && rx.loc.tlm == ry.loc.tlm &&
+         rx.loc.tlmInjected == ry.loc.tlmInjected && rx.mutantSpecs == ry.mutantSpecs &&
+         rx.analysis.sameResults(ry.analysis);
+}
+
 bool CampaignResult::sameResults(const CampaignResult& other) const noexcept {
-  if (items.size() != other.items.size()) return false;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& x = items[i];
-    const auto& y = other.items[i];
-    const auto& rx = x.report;
-    const auto& ry = y.report;
-    if (x.label != y.label || x.error != y.error) return false;
-    if (rx.ipName != ry.ipName || rx.sensorKind != ry.sensorKind ||
-        rx.hfRatio != ry.hfRatio || rx.sensors.size() != ry.sensors.size() ||
-        rx.skippedEndpoints != ry.skippedEndpoints ||
-        rx.sensorAreaGates != ry.sensorAreaGates ||
-        rx.sta.criticalCount != ry.sta.criticalCount ||
-        rx.sta.thresholdPs != ry.sta.thresholdPs ||
-        rx.loc.rtlClean != ry.loc.rtlClean || rx.loc.rtlAugmented != ry.loc.rtlAugmented ||
-        rx.loc.tlm != ry.loc.tlm || rx.loc.tlmInjected != ry.loc.tlmInjected ||
-        rx.mutantSpecs != ry.mutantSpecs) {
-      return false;
-    }
-    if (!rx.analysis.sameResults(ry.analysis)) return false;
-  }
-  return true;
+  return std::equal(items.begin(), items.end(), other.items.begin(), other.items.end(),
+                    [](const auto& x, const auto& y) { return x.sameResults(y); });
 }
 
 namespace {

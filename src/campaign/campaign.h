@@ -56,6 +56,10 @@ struct CampaignItemResult {
   bool goldenFromCache = false;  ///< golden trace reused from the process cache
   bool prefixShared = false;     ///< elaborate+insertion reused from the prefix cache
   std::string error;             ///< non-empty when the item threw
+
+  /// CampaignResult::sameResults for one item: label, error and every
+  /// non-timing/non-cache report field.
+  bool sameResults(const CampaignItemResult& other) const noexcept;
 };
 
 struct CampaignResult {

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +18,7 @@
 
 #include "campaign/serialize.h"
 #include "util/codec.h"
+#include "util/env.h"
 #include "util/fault_point.h"
 #include "util/log.h"
 
@@ -294,34 +294,13 @@ bool OutboundBuffer::flushTo(int fd) noexcept {
   return true;
 }
 
-long envLongStrict(const char* name, long fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    throw std::invalid_argument(std::string(name) + "='" + s +
-                                "' is not a whole decimal integer");
-  }
-  return v;
-}
-
 int resolveWorkerCount(int requested) {
   if (requested > 0) return requested;
   if (requested < 0) return 1;
-  const char* s = std::getenv("XLV_WORKERS");
-  if (s != nullptr && *s != '\0') {
-    // Strict parse, unlike XLV_THREADS' warn-and-degrade: a worker pool is
-    // what the user explicitly asked the daemon for, so a typo should stop
-    // the run, not silently fan out differently.
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
-      throw std::invalid_argument("XLV_WORKERS='" + std::string(s) +
-                                  "' is not an integer in [1, 1024]");
-    }
+  // Strict parse, unlike XLV_THREADS' warn-and-degrade: a worker pool is
+  // what the user explicitly asked the daemon for, so a typo should stop
+  // the run, not silently fan out differently.
+  if (const long v = util::envLongStrict("XLV_WORKERS", 0, 1, 1024); v > 0) {
     return static_cast<int>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
@@ -337,7 +316,7 @@ namespace {
 /// asserts.
 bool faultHookArmed(int workerIndex, int generation) {
   if (generation != 0) return false;
-  return envLongStrict("XLV_TEST_FAULT_WORKER", 0) == static_cast<long>(workerIndex);
+  return util::envLongStrict("XLV_TEST_FAULT_WORKER", 0) == static_cast<long>(workerIndex);
 }
 
 /// Poison-unit hook: unlike the per-slot hooks above this one is armed for
@@ -345,9 +324,9 @@ bool faultHookArmed(int workerIndex, int generation) {
 /// kills whoever runs it.  The server's quarantine path is what the matching
 /// test asserts, so the hook must survive respawns and work stealing.
 void maybeInjectPoison(const ShardUnit& unit) {
-  const long item = envLongStrict("XLV_TEST_POISON_ITEM", -1);
+  const long item = util::envLongStrict("XLV_TEST_POISON_ITEM", -1);
   if (item < 0 || unit.taskId != static_cast<std::size_t>(item)) return;
-  const long mutant = envLongStrict("XLV_TEST_POISON_MUTANT", -1);
+  const long mutant = util::envLongStrict("XLV_TEST_POISON_MUTANT", -1);
   if (mutant < 0) return;
   const bool hit = unit.wholeItem() ||
                    (unit.mutantBegin <= static_cast<std::size_t>(mutant) &&
@@ -357,15 +336,15 @@ void maybeInjectPoison(const ShardUnit& unit) {
 
 void maybeInjectFault(int workerIndex, int generation, std::uint64_t itemsDone) {
   if (!faultHookArmed(workerIndex, generation)) return;
-  const long dieAfter = envLongStrict("XLV_TEST_DIE_AFTER_ITEMS", -1);
+  const long dieAfter = util::envLongStrict("XLV_TEST_DIE_AFTER_ITEMS", -1);
   if (dieAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(dieAfter)) {
     ::raise(SIGKILL);  // crash mid-shard, no unwinding, no result
   }
-  const long exitAfter = envLongStrict("XLV_TEST_EXIT_AFTER_ITEMS", -1);
+  const long exitAfter = util::envLongStrict("XLV_TEST_EXIT_AFTER_ITEMS", -1);
   if (exitAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(exitAfter)) {
     ::_exit(9);  // orderly-looking nonzero exit without a result
   }
-  const long hangAfter = envLongStrict("XLV_TEST_HANG_AFTER_ITEMS", -1);
+  const long hangAfter = util::envLongStrict("XLV_TEST_HANG_AFTER_ITEMS", -1);
   if (hangAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(hangAfter)) {
     for (;;) ::pause();  // silent: no heartbeats, no result, never returns
   }

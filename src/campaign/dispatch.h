@@ -225,18 +225,9 @@ struct DispatchWorkerOptions {
 int runDispatchWorker(const DispatchWorkerOptions& opt);
 
 /// Worker pool size: `requested` when > 0, else strict-parsed XLV_WORKERS
-/// (positive integer, else std::invalid_argument), else
+/// (util::envLongStrict in [1, 1024], else std::invalid_argument), else
 /// hardware_concurrency (>= 1).
 int resolveWorkerCount(int requested);
-
-/// Strict env-knob parse shared by every daemon tunable (XLV_HEARTBEAT_MS,
-/// XLV_HEARTBEAT_TIMEOUT_MS, the XLV_TEST_* fault hooks): `fallback` when
-/// the variable is unset or empty, the parsed value when it is a whole
-/// decimal integer, and std::invalid_argument — naming the variable and the
-/// offending value — otherwise. Deliberately the same contract as
-/// XLV_WORKERS in resolveWorkerCount: a typo stops the daemon, it never
-/// silently runs with a default.
-long envLongStrict(const char* name, long fallback);
 
 /// Blocking write of all of `data` (EINTR retried); false on a write error.
 bool writeFdAll(int fd, std::string_view data) noexcept;

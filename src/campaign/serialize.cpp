@@ -1,6 +1,7 @@
 #include "campaign/serialize.h"
 
 #include "analysis/mutant_cache.h"
+#include "campaign/ledger.h"
 #include "util/codec.h"
 
 namespace xlv::campaign {
@@ -16,6 +17,8 @@ constexpr const char* kResultTag = "campaign-result";
 constexpr const char* kAnalysisTag = "analysis-report";
 constexpr const char* kMutantTag = "mutant-result";
 constexpr const char* kPrefixTag = "flow-prefix";
+constexpr const char* kPlanTag = "shard-plan";
+constexpr const char* kOutputTag = "shard-output";
 
 // --- enum <-> canonical wire names ------------------------------------------
 // Enums travel as names, not raw integers: the decoder rejects values a
@@ -46,13 +49,28 @@ mutation::MutantKind mutantKindByName(const std::string& s) {
 }
 
 analysis::SimBackend simBackendByName(const std::string& s) {
-  if (s == "auto") return analysis::SimBackend::Auto;
-  if (s == "interpreter") return analysis::SimBackend::Interpreter;
-  if (s == "native") return analysis::SimBackend::Native;
-  throw DecodeError("unknown simulation backend '" + s + "'");
+  try {
+    return analysis::simBackendFromName(s);
+  } catch (const std::invalid_argument& e) {
+    throw DecodeError(e.what());
+  }
 }
 
 // --- field-group helpers -----------------------------------------------------
+
+void putUnit(Encoder& e, const ShardUnit& u) {
+  e.u64("unit.taskId", u.taskId);
+  e.u64("unit.mutantBegin", u.mutantBegin);
+  e.u64("unit.mutantEnd", u.mutantEnd);
+}
+
+ShardUnit getUnit(Decoder& d) {
+  ShardUnit u;
+  u.taskId = static_cast<std::size_t>(d.u64("unit.taskId"));
+  u.mutantBegin = static_cast<std::size_t>(d.u64("unit.mutantBegin"));
+  u.mutantEnd = static_cast<std::size_t>(d.u64("unit.mutantEnd"));
+  return u;
+}
 
 void putCorner(Encoder& e, const sta::Corner& c) {
   e.str("corner.name", c.name);
@@ -151,38 +169,14 @@ analysis::MutantResult getMutantResult(Decoder& d) {
 }
 
 void putAnalysis(Encoder& e, const analysis::AnalysisReport& a) {
-  e.u64("an.cyclesPerRun", a.cyclesPerRun);
-  e.u64("an.cyclesSimulated", a.cyclesSimulated);
-  e.u64("an.cyclesSkipped", a.cyclesSkipped);
-  e.f64("an.simSeconds", a.simSeconds);
-  e.f64("an.wallSeconds", a.wallSeconds);
-  e.f64("an.goldenSeconds", a.goldenSeconds);
-  e.boolean("an.goldenFromCache", a.goldenFromCache);
-  e.boolean("an.goldenFromDisk", a.goldenFromDisk);
-  e.i64("an.mutantCacheHits", a.mutantCacheHits);
-  e.i64("an.threadsUsed", a.threadsUsed);
-  e.i64("an.nativeCompiles", a.nativeCompiles);
-  e.i64("an.nativeCacheHits", a.nativeCacheHits);
-  e.i64("an.batchedMutants", a.batchedMutants);
+  putLedger(e, a);
   e.beginList("an.results", a.results.size());
   for (const auto& r : a.results) putMutantResult(e, r);
 }
 
 analysis::AnalysisReport getAnalysis(Decoder& d) {
   analysis::AnalysisReport a;
-  a.cyclesPerRun = d.u64("an.cyclesPerRun");
-  a.cyclesSimulated = d.u64("an.cyclesSimulated");
-  a.cyclesSkipped = d.u64("an.cyclesSkipped");
-  a.simSeconds = d.f64("an.simSeconds");
-  a.wallSeconds = d.f64("an.wallSeconds");
-  a.goldenSeconds = d.f64("an.goldenSeconds");
-  a.goldenFromCache = d.boolean("an.goldenFromCache");
-  a.goldenFromDisk = d.boolean("an.goldenFromDisk");
-  a.mutantCacheHits = static_cast<int>(d.i64("an.mutantCacheHits"));
-  a.threadsUsed = static_cast<int>(d.i64("an.threadsUsed"));
-  a.nativeCompiles = static_cast<int>(d.i64("an.nativeCompiles"));
-  a.nativeCacheHits = static_cast<int>(d.i64("an.nativeCacheHits"));
-  a.batchedMutants = static_cast<int>(d.i64("an.batchedMutants"));
+  getLedger(d, a);
   a.results.resize(d.beginList("an.results"));
   for (auto& r : a.results) r = getMutantResult(d);
   return a;
@@ -260,10 +254,7 @@ void putItemResult(Encoder& e, const CampaignItemResult& it) {
   e.u64("item.taskId", it.taskId);
   e.str("item.label", it.label);
   e.str("item.error", it.error);
-  e.f64("item.taskSeconds", it.taskSeconds);
-  e.f64("item.goldenSeconds", it.goldenSeconds);
-  e.boolean("item.goldenFromCache", it.goldenFromCache);
-  e.boolean("item.prefixShared", it.prefixShared);
+  putLedger(e, it);
   putReport(e, it.report);
 }
 
@@ -272,10 +263,7 @@ CampaignItemResult getItemResult(Decoder& d) {
   it.taskId = static_cast<std::size_t>(d.u64("item.taskId"));
   it.label = d.str("item.label");
   it.error = d.str("item.error");
-  it.taskSeconds = d.f64("item.taskSeconds");
-  it.goldenSeconds = d.f64("item.goldenSeconds");
-  it.goldenFromCache = d.boolean("item.goldenFromCache");
-  it.prefixShared = d.boolean("item.prefixShared");
+  getLedger(d, it);
   it.report = getReport(d);
   return it;
 }
@@ -329,21 +317,7 @@ CampaignSpec decodeCampaignSpec(std::string_view data) {
 std::string encodeCampaignResult(const CampaignResult& result) {
   Encoder e(kResultTag, kCampaignCodecVersion);
   e.str("name", result.name);
-  e.f64("simSeconds", result.simSeconds);
-  e.f64("goldenSeconds", result.goldenSeconds);
-  e.i64("goldenCacheHits", result.goldenCacheHits);
-  e.i64("prefixCacheHits", result.prefixCacheHits);
-  e.i64("mutantCacheHits", result.mutantCacheHits);
-  e.i64("diskHits", result.diskHits);
-  e.i64("diskStores", result.diskStores);
-  e.i64("diskEvictions", result.diskEvictions);
-  e.u64("cyclesSimulated", result.cyclesSimulated);
-  e.u64("cyclesSkipped", result.cyclesSkipped);
-  e.i64("nativeCompiles", result.nativeCompiles);
-  e.i64("nativeCacheHits", result.nativeCacheHits);
-  e.i64("batchedMutants", result.batchedMutants);
-  e.f64("wallSeconds", result.wallSeconds);
-  e.i64("threadsUsed", result.threadsUsed);
+  putLedger(e, result);
   e.beginList("items", result.items.size());
   for (const auto& it : result.items) putItemResult(e, it);
   return e.take();
@@ -353,21 +327,7 @@ CampaignResult decodeCampaignResult(std::string_view data) {
   Decoder d(data, kResultTag, kCampaignCodecVersion);
   CampaignResult result;
   result.name = d.str("name");
-  result.simSeconds = d.f64("simSeconds");
-  result.goldenSeconds = d.f64("goldenSeconds");
-  result.goldenCacheHits = static_cast<int>(d.i64("goldenCacheHits"));
-  result.prefixCacheHits = static_cast<int>(d.i64("prefixCacheHits"));
-  result.mutantCacheHits = static_cast<int>(d.i64("mutantCacheHits"));
-  result.diskHits = static_cast<int>(d.i64("diskHits"));
-  result.diskStores = static_cast<int>(d.i64("diskStores"));
-  result.diskEvictions = static_cast<int>(d.i64("diskEvictions"));
-  result.cyclesSimulated = d.u64("cyclesSimulated");
-  result.cyclesSkipped = d.u64("cyclesSkipped");
-  result.nativeCompiles = static_cast<int>(d.i64("nativeCompiles"));
-  result.nativeCacheHits = static_cast<int>(d.i64("nativeCacheHits"));
-  result.batchedMutants = static_cast<int>(d.i64("batchedMutants"));
-  result.wallSeconds = d.f64("wallSeconds");
-  result.threadsUsed = static_cast<int>(d.i64("threadsUsed"));
+  getLedger(d, result);
   result.items.resize(d.beginList("items"));
   for (auto& it : result.items) it = getItemResult(d);
   d.finish();
@@ -476,6 +436,60 @@ core::FlowPrefix decodeFlowPrefix(std::string_view data, const ips::CaseStudy& c
   return prefix;
 }
 
+// --- shard plan and output (shard.h) ---------------------------------------
+
+std::string encodeShardPlan(const ShardPlan& plan) {
+  Encoder e(kPlanTag, kCampaignCodecVersion);
+  e.u64("specFnv", plan.specFnv);
+  e.u64("specItems", plan.specItems);
+  e.beginList("shards", plan.shards.size());
+  for (const auto& shard : plan.shards) {
+    e.beginList("units", shard.size());
+    for (const auto& u : shard) putUnit(e, u);
+  }
+  return e.take();
+}
+
+ShardPlan decodeShardPlan(std::string_view data) {
+  Decoder d(data, kPlanTag, kCampaignCodecVersion);
+  ShardPlan plan;
+  plan.specFnv = d.u64("specFnv");
+  plan.specItems = static_cast<std::size_t>(d.u64("specItems"));
+  plan.shards.resize(d.beginList("shards"));
+  for (auto& shard : plan.shards) {
+    shard.resize(d.beginList("units"));
+    for (auto& u : shard) u = getUnit(d);
+  }
+  d.finish();
+  return plan;
+}
+
+std::string encodeShardOutput(const ShardOutput& output) {
+  Encoder e(kOutputTag, kCampaignCodecVersion);
+  e.u64("specFnv", output.specFnv);
+  e.i64("shardIndex", output.shardIndex);
+  e.i64("shardCount", output.shardCount);
+  e.beginList("units", output.units.size());
+  for (const auto& u : output.units) putUnit(e, u);
+  // The result travels as a nested campaign-result document; its own header
+  // keeps the two schema versions independently checkable.
+  e.str("result", encodeCampaignResult(output.result));
+  return e.take();
+}
+
+ShardOutput decodeShardOutput(std::string_view data) {
+  Decoder d(data, kOutputTag, kCampaignCodecVersion);
+  ShardOutput output;
+  output.specFnv = d.u64("specFnv");
+  output.shardIndex = static_cast<int>(d.i64("shardIndex"));
+  output.shardCount = static_cast<int>(d.i64("shardCount"));
+  output.units.resize(d.beginList("units"));
+  for (auto& u : output.units) u = getUnit(d);
+  output.result = decodeCampaignResult(d.str("result"));
+  d.finish();
+  return output;
+}
+
 // --- worker-pool wire frames -------------------------------------------------
 
 const char* const kSubmitFrameTag = "dispatch-submit";
@@ -487,24 +501,6 @@ const char* const kAcceptFrameTag = "dispatch-accept";
 const char* const kRejectFrameTag = "dispatch-reject";
 const char* const kItemResultFrameTag = "dispatch-item-result";
 const char* const kCampaignDoneFrameTag = "dispatch-done";
-
-namespace {
-
-void putFrameUnit(Encoder& e, const ShardUnit& u) {
-  e.u64("unit.taskId", u.taskId);
-  e.u64("unit.mutantBegin", u.mutantBegin);
-  e.u64("unit.mutantEnd", u.mutantEnd);
-}
-
-ShardUnit getFrameUnit(Decoder& d) {
-  ShardUnit u;
-  u.taskId = static_cast<std::size_t>(d.u64("unit.taskId"));
-  u.mutantBegin = static_cast<std::size_t>(d.u64("unit.mutantBegin"));
-  u.mutantEnd = static_cast<std::size_t>(d.u64("unit.mutantEnd"));
-  return u;
-}
-
-}  // namespace
 
 bool ResultFrame::operator==(const ResultFrame& other) const {
   // ShardOutput carries a nested CampaignResult with no memberwise
@@ -521,7 +517,7 @@ std::string encodeSubmitFrame(const SubmitFrame& f) {
   e.u64("taskIndex", f.taskIndex);
   e.u64("taskCount", f.taskCount);
   e.u64("attempt", f.attempt);
-  putFrameUnit(e, f.unit);
+  putUnit(e, f.unit);
   e.str("specPath", f.specPath);
   e.boolean("shutdown", f.shutdown);
   return e.take();
@@ -536,7 +532,7 @@ SubmitFrame decodeSubmitFrame(std::string_view data) {
   f.taskIndex = d.u64("taskIndex");
   f.taskCount = d.u64("taskCount");
   f.attempt = d.u64("attempt");
-  f.unit = getFrameUnit(d);
+  f.unit = getUnit(d);
   f.specPath = d.str("specPath");
   f.shutdown = d.boolean("shutdown");
   d.finish();

@@ -20,6 +20,9 @@
 //     timing/cache ledgers — but not the elaborated designs. A decoded
 //     result therefore supports sameResults, ok(), find() and ledger
 //     aggregation bit-exactly, which is all the merge and diff paths need.
+//     The ledger fields are not listed here: their keys, order and types
+//     come from the one field list per result type in campaign/ledger.h.
+//     Adding a counter is one entry there plus a kCampaignCodecVersion bump.
 //
 // Every encoder is byte-stable: encode(decode(encode(x))) == encode(x)
 // (doubles are hexfloat-rendered, so finite values round-trip exactly).

@@ -4,37 +4,13 @@
 #include <stdexcept>
 
 #include "analysis/mutation_analysis.h"
+#include "campaign/ledger.h"
 #include "campaign/serialize.h"
 #include "campaign/sweep.h"
-#include "util/codec.h"
 #include "util/fnv.h"
 #include "util/log.h"
 
 namespace xlv::campaign {
-
-using util::Decoder;
-using util::Encoder;
-
-namespace {
-
-constexpr const char* kPlanTag = "shard-plan";
-constexpr const char* kOutputTag = "shard-output";
-
-void putUnit(Encoder& e, const ShardUnit& u) {
-  e.u64("unit.taskId", u.taskId);
-  e.u64("unit.mutantBegin", u.mutantBegin);
-  e.u64("unit.mutantEnd", u.mutantEnd);
-}
-
-ShardUnit getUnit(Decoder& d) {
-  ShardUnit u;
-  u.taskId = static_cast<std::size_t>(d.u64("unit.taskId"));
-  u.mutantBegin = static_cast<std::size_t>(d.u64("unit.mutantBegin"));
-  u.mutantEnd = static_cast<std::size_t>(d.u64("unit.mutantEnd"));
-  return u;
-}
-
-}  // namespace
 
 std::uint64_t campaignSpecFnv(const CampaignSpec& spec) {
   return util::fnv1a64(encodeCampaignSpec(spec));
@@ -189,22 +165,8 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
   merged.taskId = taskId;
   merged.error.clear();
   merged.report.analysis.results.clear();
-  merged.report.analysis.simSeconds = 0.0;
-  merged.report.analysis.wallSeconds = 0.0;
-  merged.report.analysis.goldenSeconds = 0.0;
-  merged.report.analysis.goldenFromCache = true;
-  merged.report.analysis.goldenFromDisk = true;
-  merged.report.analysis.mutantCacheHits = 0;
-  merged.report.analysis.cyclesSimulated = 0;
-  merged.report.analysis.cyclesSkipped = 0;
-  merged.report.analysis.nativeCompiles = 0;
-  merged.report.analysis.nativeCacheHits = 0;
-  merged.report.analysis.batchedMutants = 0;
-  merged.report.analysis.threadsUsed = 1;
-  merged.taskSeconds = 0.0;
-  merged.goldenSeconds = 0.0;
-  merged.goldenFromCache = true;
-  merged.prefixShared = false;
+  resetLedger(merged);
+  resetLedger(merged.report.analysis);
 
   std::size_t expectBegin = 0;
   for (std::size_t k = 0; k < order.size(); ++k) {
@@ -235,30 +197,14 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
     }
     if (merged.error.empty() && !part.error.empty()) merged.error = part.error;
 
-    // Work (simSeconds, goldenSeconds) sums across fragments; elapsed time
-    // (wallSeconds, taskSeconds) takes the max — fragments of one item run
-    // concurrently on separate processes, mirroring the campaign-level
-    // ledger rule in mergeShards.
-    const auto& a = part.report.analysis;
-    auto& out = merged.report.analysis;
-    out.results.insert(out.results.end(), a.results.begin(), a.results.end());
-    out.simSeconds += a.simSeconds;
-    out.wallSeconds = std::max(out.wallSeconds, a.wallSeconds);
-    out.goldenSeconds += a.goldenSeconds;
-    out.goldenFromCache = out.goldenFromCache && a.goldenFromCache;
-    out.goldenFromDisk = out.goldenFromDisk && a.goldenFromDisk;
-    out.mutantCacheHits += a.mutantCacheHits;
-    out.cyclesSimulated += a.cyclesSimulated;
-    out.cyclesSkipped += a.cyclesSkipped;
-    out.nativeCompiles += a.nativeCompiles;
-    out.nativeCacheHits += a.nativeCacheHits;
-    out.batchedMutants += a.batchedMutants;
-    out.threadsUsed = std::max(out.threadsUsed, a.threadsUsed);
-
-    merged.taskSeconds = std::max(merged.taskSeconds, part.taskSeconds);
-    merged.goldenSeconds += part.goldenSeconds;
-    merged.goldenFromCache = merged.goldenFromCache && part.goldenFromCache;
-    merged.prefixShared = merged.prefixShared || part.prefixShared;
+    // Ledger fields fold by their declared rule (campaign/ledger.h): work
+    // sums, elapsed time takes the max — fragments of one item run
+    // concurrently on separate processes.
+    merged.report.analysis.results.insert(merged.report.analysis.results.end(),
+                                          part.report.analysis.results.begin(),
+                                          part.report.analysis.results.end());
+    foldLedger(merged, part);
+    foldLedger(merged.report.analysis, part.report.analysis);
     expectBegin = unit.mutantEnd;
   }
   const std::size_t stitched = merged.report.analysis.results.size();
@@ -270,28 +216,6 @@ CampaignItemResult stitchFragments(std::size_t taskId, bool analysisRan,
         " mutants (stale fragment plan?)");
   }
   return merged;
-}
-
-/// Agreement check for a double-submitted fragment: everything
-/// CampaignResult::sameResults compares, at single-item granularity.
-/// Retried fragments are bit-identical by construction, so two copies of one
-/// fragment id that disagree mean spec/schema skew — a merge error, never a
-/// silent pick.
-bool samePartResults(const CampaignItemResult& x, const CampaignItemResult& y) {
-  const auto& rx = x.report;
-  const auto& ry = y.report;
-  if (x.label != y.label || x.error != y.error) return false;
-  if (rx.ipName != ry.ipName || rx.sensorKind != ry.sensorKind || rx.hfRatio != ry.hfRatio ||
-      rx.sensors.size() != ry.sensors.size() ||
-      rx.skippedEndpoints != ry.skippedEndpoints ||
-      rx.sensorAreaGates != ry.sensorAreaGates ||
-      rx.sta.criticalCount != ry.sta.criticalCount ||
-      rx.sta.thresholdPs != ry.sta.thresholdPs || rx.loc.rtlClean != ry.loc.rtlClean ||
-      rx.loc.rtlAugmented != ry.loc.rtlAugmented || rx.loc.tlm != ry.loc.tlm ||
-      rx.loc.tlmInjected != ry.loc.tlmInjected || rx.mutantSpecs != ry.mutantSpecs) {
-    return false;
-  }
-  return rx.analysis.sameResults(ry.analysis);
 }
 
 }  // namespace
@@ -362,7 +286,7 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
       bool duplicate = false;
       for (Part& have : byTask[unit.taskId]) {
         if (*have.unit != unit) continue;
-        if (!samePartResults(*have.item, *part.item)) {
+        if (!have.item->sameResults(*part.item)) {
           throw std::invalid_argument(
               "merge: duplicate copies of item " + std::to_string(unit.taskId) +
               " fragment [" + std::to_string(unit.mutantBegin) + ", " +
@@ -405,84 +329,15 @@ CampaignResult mergeShards(const CampaignSpec& spec, const std::vector<ShardOutp
     }
   }
 
-  // Ledger aggregation: work and cache hits sum across shards (hits stay
-  // attributed to the process that scored them); wall time is the elapsed
-  // maximum, since shards run concurrently on separate processes/hosts.
-  for (const auto& o : outputs) {
-    merged.simSeconds += o.result.simSeconds;
-    merged.goldenSeconds += o.result.goldenSeconds;
-    merged.goldenCacheHits += o.result.goldenCacheHits;
-    merged.prefixCacheHits += o.result.prefixCacheHits;
-    merged.mutantCacheHits += o.result.mutantCacheHits;
-    merged.diskHits += o.result.diskHits;
-    merged.diskStores += o.result.diskStores;
-    merged.diskEvictions += o.result.diskEvictions;
-    merged.cyclesSimulated += o.result.cyclesSimulated;
-    merged.cyclesSkipped += o.result.cyclesSkipped;
-    merged.nativeCompiles += o.result.nativeCompiles;
-    merged.nativeCacheHits += o.result.nativeCacheHits;
-    merged.batchedMutants += o.result.batchedMutants;
-    merged.wallSeconds = std::max(merged.wallSeconds, o.result.wallSeconds);
-    merged.threadsUsed = std::max(merged.threadsUsed, o.result.threadsUsed);
-  }
+  // Ledger aggregation by each field's rule (campaign/ledger.h): work and
+  // cache hits sum across shards (hits stay attributed to the process that
+  // scored them); wall time is the elapsed maximum.
+  resetLedger(merged);
+  for (const auto& o : outputs) foldLedger(merged, o.result);
   XLV_INFO("shard") << "merged " << outputs.size() << " shards into '" << merged.name
                     << "': " << merged.items.size() << " items, "
                     << (merged.ok() ? "ok" : "with errors");
   return merged;
-}
-
-// --- wire format -------------------------------------------------------------
-
-std::string encodeShardPlan(const ShardPlan& plan) {
-  Encoder e(kPlanTag, kCampaignCodecVersion);
-  e.u64("specFnv", plan.specFnv);
-  e.u64("specItems", plan.specItems);
-  e.beginList("shards", plan.shards.size());
-  for (const auto& shard : plan.shards) {
-    e.beginList("units", shard.size());
-    for (const auto& u : shard) putUnit(e, u);
-  }
-  return e.take();
-}
-
-ShardPlan decodeShardPlan(std::string_view data) {
-  Decoder d(data, kPlanTag, kCampaignCodecVersion);
-  ShardPlan plan;
-  plan.specFnv = d.u64("specFnv");
-  plan.specItems = static_cast<std::size_t>(d.u64("specItems"));
-  plan.shards.resize(d.beginList("shards"));
-  for (auto& shard : plan.shards) {
-    shard.resize(d.beginList("units"));
-    for (auto& u : shard) u = getUnit(d);
-  }
-  d.finish();
-  return plan;
-}
-
-std::string encodeShardOutput(const ShardOutput& output) {
-  Encoder e(kOutputTag, kCampaignCodecVersion);
-  e.u64("specFnv", output.specFnv);
-  e.i64("shardIndex", output.shardIndex);
-  e.i64("shardCount", output.shardCount);
-  e.beginList("units", output.units.size());
-  for (const auto& u : output.units) putUnit(e, u);
-  // The result travels as a nested campaign-result document; its own header
-  // keeps the two schema versions independently checkable.
-  e.str("result", encodeCampaignResult(output.result));
-  return e.take();
-}
-
-ShardOutput decodeShardOutput(std::string_view data) {
-  Decoder d(data, kOutputTag, kCampaignCodecVersion);
-  ShardOutput output;
-  output.specFnv = d.u64("specFnv");
-  output.shardIndex = static_cast<int>(d.i64("shardIndex"));
-  output.shardCount = static_cast<int>(d.i64("shardCount"));
-  output.units.resize(d.beginList("units"));
-  for (auto& u : output.units) u = getUnit(d);
-  output.result = decodeCampaignResult(d.str("result"));
-  d.finish();
-  return output;
 }
 
 // --- built-in specs ----------------------------------------------------------

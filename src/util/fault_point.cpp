@@ -38,7 +38,6 @@ Registry& registry() {
 
 // Armed flag outside the mutex so an unarmed faultPoint() is one atomic load.
 std::atomic<bool> gArmed{false};
-std::once_flag gInitOnce;
 
 const char* const kKnownPoints[] = {"store.write", "frame.write", "worker.spawn",
                                     "server.accept"};
@@ -151,25 +150,30 @@ Clause parseClause(std::string_view text) {
   return c;
 }
 
-void parseIntoRegistry() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+// Re-read XLV_FAULTS into the registry; the caller holds r.mu. A malformed
+// spec throws with the registry disarmed and unparsed, so the next call
+// parses (and throws) again instead of silently running clean.
+void parseLocked(Registry& r) {
   r.clauses.clear();
-  r.parsed = true;
+  r.parsed = false;
   gArmed.store(false, std::memory_order_relaxed);
   const char* env = std::getenv("XLV_FAULTS");
-  if (env == nullptr || *env == '\0') return;
-  for (const std::string_view text : split(env, ',')) {
-    if (text.empty()) {
-      throw FaultConfigError("XLV_FAULTS: empty clause in spec");
+  if (env != nullptr && *env != '\0') {
+    for (const std::string_view text : split(env, ',')) {
+      if (text.empty()) {
+        throw FaultConfigError("XLV_FAULTS: empty clause in spec");
+      }
+      r.clauses.push_back(parseClause(text));
     }
-    r.clauses.push_back(parseClause(text));
   }
+  r.parsed = true;
   gArmed.store(!r.clauses.empty(), std::memory_order_relaxed);
 }
 
 void ensureParsed() {
-  std::call_once(gInitOnce, [] { parseIntoRegistry(); });
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  if (!r.parsed) parseLocked(r);
 }
 
 }  // namespace
@@ -177,8 +181,9 @@ void ensureParsed() {
 void initFaultPointsFromEnv() { ensureParsed(); }
 
 void reloadFaultPointsFromEnv() {
-  ensureParsed();  // make sure the once-flag is consumed
-  parseIntoRegistry();
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  parseLocked(r);
 }
 
 bool faultPointsArmed() {

@@ -8,11 +8,13 @@
 // exactly once, with the losers blocking on the winner rather than
 // duplicating work.
 //
-// Concurrency model: a mutex guards only the key -> entry map; each entry
-// carries its own std::once_flag, so builds for *different* keys proceed in
-// parallel while builds for the *same* key serialize through call_once. A
-// build that throws leaves the once_flag unset (std::call_once semantics),
-// so the next caller retries instead of caching the failure.
+// Concurrency model: one mutex guards the key -> entry map and every entry's
+// build state (empty / building / ready). The first caller to find an entry
+// empty marks it building and runs the build OUTSIDE the lock, so builds for
+// *different* keys proceed in parallel; callers for the same key wait on the
+// entry's condition variable. A build that throws resets the entry to empty
+// and wakes one waiter, which retries the build itself — failures are never
+// cached.
 //
 // Capacity: setCapacity(n) bounds the entry count with LRU eviction (a
 // long-lived service sweeping an unbounded key set must not grow without
@@ -24,7 +26,7 @@
 // disk loads shared across processes.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,47 +58,45 @@ class OnceCache {
   std::shared_ptr<const V> getOrBuild(const std::string& key,
                                       const std::function<V()>& build,
                                       bool* wasHit = nullptr) {
-    std::shared_ptr<Entry> entry;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      if (it == entries_.end()) {
-        it = entries_.emplace(key, std::make_shared<Entry>()).first;
-      }
-      entry = it->second;
-      entry->lastUse = ++tick_;
-      // Entries with callers inside call_once are never eviction victims;
-      // the count also covers a build that THROWS (decremented in the
-      // catch below), so a failed entry with no remaining callers becomes
-      // evictable instead of pinning the map above its capacity forever.
-      ++entry->activeCallers;
-    }
-    bool builtHere = false;
-    try {
-      std::call_once(entry->once, [&] {
-        builtHere = true;
-        auto value = std::make_shared<const V>(build());
-        std::lock_guard<std::mutex> lock(mutex_);
-        entry->value = std::move(value);
-      });
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --entry->activeCallers;
-      // A failed build still inserted an entry: enforce the cap here too,
-      // or a stream of distinct always-throwing keys would grow the map
-      // unboundedly until some unrelated build succeeds.
-      evictOverCapacityLocked(nullptr);
-      throw;
-    }
-    if (wasHit != nullptr) *wasHit = !builtHere;
-    // call_once synchronizes-with the winning build, so value is visible.
-    std::lock_guard<std::mutex> lock(mutex_);
-    --entry->activeCallers;
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::shared_ptr<Entry>& slot = entries_[key];
+    if (!slot) slot = std::make_shared<Entry>();
+    const std::shared_ptr<Entry> entry = slot;
+    entry->lastUse = ++tick_;
+    // Entries with callers inside getOrBuild are never eviction victims;
+    // the count is released on every exit, so a failed entry with no
+    // remaining callers becomes evictable instead of pinning the map above
+    // its capacity forever.
+    ++entry->activeCallers;
+    entry->ready.wait(lock, [&] { return entry->state != State::Building; });
+    const bool builtHere = entry->state == State::Empty;
     if (builtHere) {
+      entry->state = State::Building;
+      lock.unlock();
+      std::shared_ptr<const V> value;
+      try {
+        value = std::make_shared<const V>(build());
+      } catch (...) {
+        lock.lock();
+        entry->state = State::Empty;
+        --entry->activeCallers;
+        entry->ready.notify_one();
+        // A failed build still inserted an entry: enforce the cap here too,
+        // or a stream of distinct always-throwing keys would grow the map
+        // unboundedly until some unrelated build succeeds.
+        evictOverCapacityLocked(nullptr);
+        throw;
+      }
+      lock.lock();
+      entry->value = std::move(value);
+      entry->state = State::Ready;
+      entry->ready.notify_all();
       ++misses_;
     } else {
       ++hits_;
     }
+    if (wasHit != nullptr) *wasHit = !builtHere;
+    --entry->activeCallers;
     entry->lastUse = ++tick_;
     if (builtHere) evictOverCapacityLocked(entry);
     return entry->value;
@@ -139,8 +139,11 @@ class OnceCache {
   }
 
  private:
+  enum class State { Empty, Building, Ready };
+
   struct Entry {
-    std::once_flag once;
+    State state = State::Empty;
+    std::condition_variable ready;  ///< signalled when a build ends
     std::shared_ptr<const V> value;
     std::uint64_t lastUse = 0;
     int activeCallers = 0;  ///< callers currently inside getOrBuild

@@ -2,6 +2,11 @@
 // the Table 5 mutant-set generators.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 #include "analysis/mutation_analysis.h"
 #include "ir/builder.h"
 #include "ir/elaborate.h"
@@ -140,6 +145,58 @@ TEST(MutationAnalysis, ReportCountsConsistent) {
   EXPECT_EQ(report.total(), report.countKilled());
   EXPECT_EQ(rig.tb.cycles, report.cyclesPerRun);
   EXPECT_GT(report.simSeconds, 0.0);
+}
+
+/// Set one environment variable for a scope, restoring its old state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(MutationAnalysis, BackendAndBatchEnvKnobsParseStrictly) {
+  {
+    ScopedEnv env("XLV_BACKEND", "native");
+    EXPECT_EQ(SimBackend::Native, resolveSimBackend(SimBackend::Auto));
+    EXPECT_EQ(SimBackend::Interpreter, resolveSimBackend(SimBackend::Interpreter));
+  }
+  for (const char* fallback : {"", "auto", "interpreter"}) {
+    ScopedEnv env("XLV_BACKEND", fallback);
+    EXPECT_EQ(SimBackend::Interpreter, resolveSimBackend(SimBackend::Auto)) << fallback;
+  }
+  // A typo stops the run instead of silently simulating on the interpreter.
+  for (const char* typo : {"natve", "Native", "native "}) {
+    ScopedEnv env("XLV_BACKEND", typo);
+    EXPECT_THROW(resolveSimBackend(SimBackend::Auto), std::invalid_argument) << typo;
+  }
+
+  {
+    ScopedEnv env("XLV_BATCH", "8");
+    EXPECT_EQ(8, resolveBatchSize(0));
+    EXPECT_EQ(3, resolveBatchSize(3));  // an explicit size never reads the env
+  }
+  {
+    ScopedEnv env("XLV_BATCH", "");
+    EXPECT_EQ(1, resolveBatchSize(0));
+  }
+  // atoi used to turn all of these into batch 1 (or clamp them to it).
+  for (const char* bad : {"abc", "4x", "0", "-2", "1.5"}) {
+    ScopedEnv env("XLV_BATCH", bad);
+    EXPECT_THROW(resolveBatchSize(0), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

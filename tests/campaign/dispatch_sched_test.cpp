@@ -23,6 +23,7 @@
 #include "campaign/serialize.h"
 #include "campaign/server.h"
 #include "util/codec.h"
+#include "util/env.h"
 #include "util/subprocess.h"
 
 namespace xlv::campaign {
@@ -391,24 +392,33 @@ TEST(DispatchSched, EnvLongStrictThrowsOnMalformedValues) {
   // silently fell back on a typo — a daemon run with a mistyped heartbeat
   // timeout used the default and nobody noticed.
   ::unsetenv("XLV_TEST_ENV_LONG");
-  EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
+  EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 42);
   }
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "250");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), 250);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), 250);
   }
   {
     EnvGuard env("XLV_TEST_ENV_LONG", "-3");
-    EXPECT_EQ(envLongStrict("XLV_TEST_ENV_LONG", 42), -3);
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42), -3);
   }
+  {
+    // Bounds apply to a set value only; the fallback is returned as is.
+    EnvGuard env("XLV_TEST_ENV_LONG", "250");
+    EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 42, 1, 250), 250);
+    EXPECT_THROW(util::envLongStrict("XLV_TEST_ENV_LONG", 42, 1, 249), std::invalid_argument);
+    EXPECT_THROW(util::envLongStrict("XLV_TEST_ENV_LONG", 42, 251), std::invalid_argument);
+  }
+  ::unsetenv("XLV_TEST_ENV_LONG");
+  EXPECT_EQ(util::envLongStrict("XLV_TEST_ENV_LONG", 0, 1, 9), 0);
   const char* bad[] = {"250ms", "abc", "1.5", "99999999999999999999"};
   for (const char* value : bad) {
     EnvGuard env("XLV_TEST_ENV_LONG", value);
     try {
-      envLongStrict("XLV_TEST_ENV_LONG", 42);
+      util::envLongStrict("XLV_TEST_ENV_LONG", 42);
       FAIL() << "accepted '" << value << "'";
     } catch (const std::invalid_argument& e) {
       // The message names the variable AND the offending value, so the

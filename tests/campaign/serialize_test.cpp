@@ -78,7 +78,152 @@ CampaignResult syntheticResult() {
   return r;
 }
 
+/// Every ledger field of the three result types set to a distinct non-zero
+/// value, so a field that moves, drops or swaps its key changes the bytes.
+analysis::AnalysisReport ledgerAnalysis() {
+  analysis::AnalysisReport a;
+  a.cyclesPerRun = 400;
+  a.cyclesSimulated = 801;
+  a.cyclesSkipped = 802;
+  a.simSeconds = 0.5;
+  a.wallSeconds = 0.25;
+  a.goldenSeconds = 0.125;
+  a.goldenFromCache = true;
+  a.goldenFromDisk = true;
+  a.mutantCacheHits = 21;
+  a.threadsUsed = 22;
+  a.nativeCompiles = 23;
+  a.nativeCacheHits = 24;
+  a.batchedMutants = 25;
+  analysis::MutantResult m;
+  m.id = 3;
+  m.endpoint = "acc_reg";
+  m.kind = mutation::MutantKind::DeltaDelay;
+  m.deltaTicks = 2;
+  m.killed = true;
+  m.measuredDelay = 9;
+  a.results.push_back(m);
+  return a;
+}
+
+CampaignResult ledgerResult() {
+  CampaignResult r;
+  r.name = "ledger";
+  r.simSeconds = 1.5;
+  r.goldenSeconds = 0.75;
+  r.goldenCacheHits = 3;
+  r.prefixCacheHits = 4;
+  r.mutantCacheHits = 5;
+  r.diskHits = 6;
+  r.diskStores = 7;
+  r.diskEvictions = 8;
+  r.cyclesSimulated = 9001;
+  r.cyclesSkipped = 9002;
+  r.nativeCompiles = 10;
+  r.nativeCacheHits = 11;
+  r.batchedMutants = 12;
+  r.wallSeconds = 2.25;
+  r.threadsUsed = 13;
+  CampaignItemResult it;
+  it.taskId = 2;
+  it.label = "Filter/counter";
+  it.taskSeconds = 0.625;
+  it.goldenSeconds = 0.375;
+  it.goldenFromCache = true;
+  it.prefixShared = true;
+  it.report.ipName = "Filter";
+  it.report.sensorKind = insertion::SensorKind::Counter;
+  it.report.hfRatio = 4;
+  it.report.analysis = ledgerAnalysis();
+  r.items.push_back(it);
+  return r;
+}
+
 // --- round trips -------------------------------------------------------------
+
+// The exact bytes of ledgerResult()/ledgerAnalysis() at codec v7. The
+// round-trip tests cannot see a field that moves or changes its key in both
+// encoder and decoder at once; this can. An intended schema change updates
+// this text together with kCampaignCodecVersion.
+constexpr const char* kPinnedResultHead = R"(name=6:ledger
+simSeconds=8:0x1.8p+0
+goldenSeconds=8:0x1.8p-1
+goldenCacheHits=1:3
+prefixCacheHits=1:4
+mutantCacheHits=1:5
+diskHits=1:6
+diskStores=1:7
+diskEvictions=1:8
+cyclesSimulated=4:9001
+cyclesSkipped=4:9002
+nativeCompiles=2:10
+nativeCacheHits=2:11
+batchedMutants=2:12
+wallSeconds=8:0x1.2p+1
+threadsUsed=2:13
+items[]=1:1
+item.taskId=1:2
+item.label=14:Filter/counter
+item.error=0:
+item.taskSeconds=8:0x1.4p-1
+item.goldenSeconds=8:0x1.8p-2
+item.goldenFromCache=1:1
+item.prefixShared=1:1
+rep.ipName=6:Filter
+rep.sensorKind=7:counter
+rep.hfRatio=1:4
+rep.skippedEndpoints=1:0
+rep.sensorAreaGates=6:0x0p+0
+rep.staCriticalCount=1:0
+rep.staThresholdPs=6:0x0p+0
+rep.staClockPeriodPs=6:0x0p+0
+rep.staMinSlackPs=6:0x0p+0
+rep.locRtlClean=1:0
+rep.locRtlAugmented=1:0
+rep.locTlm=1:0
+rep.locTlmInjected=1:0
+rep.sensors[]=1:0
+rep.mutantSpecs[]=1:0
+)";
+
+constexpr const char* kPinnedAnalysis = R"(an.cyclesPerRun=3:400
+an.cyclesSimulated=3:801
+an.cyclesSkipped=3:802
+an.simSeconds=6:0x1p-1
+an.wallSeconds=6:0x1p-2
+an.goldenSeconds=6:0x1p-3
+an.goldenFromCache=1:1
+an.goldenFromDisk=1:1
+an.mutantCacheHits=2:21
+an.threadsUsed=2:22
+an.nativeCompiles=2:23
+an.nativeCacheHits=2:24
+an.batchedMutants=2:25
+an.results[]=1:1
+mut.id=1:3
+mut.endpoint=7:acc_reg
+mut.kind=11:delta-delay
+mut.deltaTicks=1:2
+mut.killed=1:1
+mut.detected=1:0
+mut.errorRisen=1:0
+mut.corrected=1:0
+mut.correctionChecked=1:0
+mut.measuredDelay=1:9
+)";
+
+TEST(Serialize, LedgerWireFormatIsPinned) {
+  ASSERT_EQ(7, kCampaignCodecVersion) << "a codec bump re-captures the pinned text";
+  const std::string result =
+      std::string("xlv campaign-result v7\n") + kPinnedResultHead + kPinnedAnalysis;
+  const std::string analysis = std::string("xlv analysis-report v7\n") + kPinnedAnalysis;
+  EXPECT_EQ(result, encodeCampaignResult(ledgerResult()));
+  EXPECT_EQ(analysis, encodeAnalysisReport(ledgerAnalysis()));
+  // The decoders read the same order back: the pinned text re-encodes to
+  // itself.
+  EXPECT_EQ(result, encodeCampaignResult(decodeCampaignResult(result)));
+  EXPECT_EQ(analysis, encodeAnalysisReport(decodeAnalysisReport(analysis)));
+}
 
 TEST(Serialize, CampaignSpecRoundTripIsByteStable) {
   const CampaignSpec spec = smokeSpec();

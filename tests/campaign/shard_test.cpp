@@ -251,6 +251,112 @@ TEST(Shard, MergeDeduplicatesDoubleSubmittedShardsByFragmentId) {
                std::invalid_argument);
 }
 
+TEST(Shard, MergeAppliesEachLedgerFieldsRule) {
+  // One item in single-mutant fragments over three shards, with every
+  // ledger overwritten by known values: each field's merge rule is visible
+  // in the result. Fragment f (= its mutantBegin) and shard s carry value
+  // (f + 1) resp. (s + 1) times a per-field factor; the max/all/any fields
+  // single out fragment 1 and shard 1, so neither first- nor last-wins
+  // passes by accident.
+  const CampaignSpec spec = builtinCampaignSpec("single");
+  const ShardPlan plan = planShards(spec, ShardPlanOptions{3, 1, {}});
+  clearProcessCaches();
+  std::vector<ShardOutput> outputs = runAllShards(spec, plan);
+  ASSERT_EQ(3u, outputs.size());
+
+  std::size_t fragments = 0;
+  for (std::size_t s = 0; s < outputs.size(); ++s) {
+    CampaignResult& r = outputs[s].result;
+    ASSERT_FALSE(r.items.empty()) << "shard " << s;
+    const int k = static_cast<int>(s) + 1;
+    r.simSeconds = 1.0 * k;
+    r.goldenSeconds = 2.0 * k;
+    r.goldenCacheHits = 3 * k;
+    r.prefixCacheHits = 4 * k;
+    r.mutantCacheHits = 5 * k;
+    r.diskHits = 6 * k;
+    r.diskStores = 7 * k;
+    r.diskEvictions = 8 * k;
+    r.cyclesSimulated = 9u * k;
+    r.cyclesSkipped = 10u * k;
+    r.nativeCompiles = 11 * k;
+    r.nativeCacheHits = 12 * k;
+    r.batchedMutants = 13 * k;
+    r.wallSeconds = s == 1 ? 9.0 : 1.0;
+    r.threadsUsed = s == 1 ? 9 : 2;
+    for (std::size_t i = 0; i < r.items.size(); ++i) {
+      const std::size_t f = outputs[s].units[i].mutantBegin;
+      const int v = static_cast<int>(f) + 1;
+      ++fragments;
+      CampaignItemResult& it = r.items[i];
+      it.taskSeconds = f == 1 ? 9.0 : 1.0;
+      it.goldenSeconds = 1.0 * v;
+      it.goldenFromCache = f != 1;
+      it.prefixShared = f == 1;
+      analysis::AnalysisReport& a = it.report.analysis;
+      a.cyclesPerRun = 100 + f;
+      a.cyclesSimulated = 1u * v;
+      a.cyclesSkipped = 2u * v;
+      a.simSeconds = 3.0 * v;
+      a.wallSeconds = f == 1 ? 9.0 : 1.0;
+      a.goldenSeconds = 4.0 * v;
+      a.goldenFromCache = f != 1;
+      a.goldenFromDisk = f != 2;
+      a.mutantCacheHits = 5 * v;
+      a.threadsUsed = f == 1 ? 9 : 2;
+      a.nativeCompiles = 6 * v;
+      a.nativeCacheHits = 7 * v;
+      a.batchedMutants = 8 * v;
+    }
+  }
+  ASSERT_GE(fragments, 3u);
+
+  const CampaignResult merged = mergeShards(spec, outputs);
+  ASSERT_TRUE(merged.ok());
+  ASSERT_EQ(1u, merged.items.size());
+  // Campaign ledger: sums over the three shards (1 + 2 + 3 = 6 times the
+  // factor), elapsed maxima from shard 1.
+  EXPECT_EQ(6.0, merged.simSeconds);
+  EXPECT_EQ(12.0, merged.goldenSeconds);
+  EXPECT_EQ(18, merged.goldenCacheHits);
+  EXPECT_EQ(24, merged.prefixCacheHits);
+  EXPECT_EQ(30, merged.mutantCacheHits);
+  EXPECT_EQ(36, merged.diskHits);
+  EXPECT_EQ(42, merged.diskStores);
+  EXPECT_EQ(48, merged.diskEvictions);
+  EXPECT_EQ(54u, merged.cyclesSimulated);
+  EXPECT_EQ(60u, merged.cyclesSkipped);
+  EXPECT_EQ(66, merged.nativeCompiles);
+  EXPECT_EQ(72, merged.nativeCacheHits);
+  EXPECT_EQ(78, merged.batchedMutants);
+  EXPECT_EQ(9.0, merged.wallSeconds);
+  EXPECT_EQ(9, merged.threadsUsed);
+
+  // Item and analysis ledgers: sums over the fragments (1 + ... + N times
+  // the factor), maxima from fragment 1, all-true broken by one fragment,
+  // any-true set by one, cyclesPerRun from fragment 0.
+  const int tri = static_cast<int>(fragments * (fragments + 1) / 2);
+  const CampaignItemResult& it = merged.items[0];
+  EXPECT_EQ(9.0, it.taskSeconds);
+  EXPECT_EQ(1.0 * tri, it.goldenSeconds);
+  EXPECT_FALSE(it.goldenFromCache);
+  EXPECT_TRUE(it.prefixShared);
+  const analysis::AnalysisReport& a = it.report.analysis;
+  EXPECT_EQ(100u, a.cyclesPerRun);
+  EXPECT_EQ(1u * tri, a.cyclesSimulated);
+  EXPECT_EQ(2u * tri, a.cyclesSkipped);
+  EXPECT_EQ(3.0 * tri, a.simSeconds);
+  EXPECT_EQ(9.0, a.wallSeconds);
+  EXPECT_EQ(4.0 * tri, a.goldenSeconds);
+  EXPECT_FALSE(a.goldenFromCache);
+  EXPECT_FALSE(a.goldenFromDisk);
+  EXPECT_EQ(5 * tri, a.mutantCacheHits);
+  EXPECT_EQ(9, a.threadsUsed);
+  EXPECT_EQ(6 * tri, a.nativeCompiles);
+  EXPECT_EQ(7 * tri, a.nativeCacheHits);
+  EXPECT_EQ(8 * tri, a.batchedMutants);
+}
+
 TEST(Shard, RunShardUnitsMatchesRunShardOnThePlannedUnits) {
   const CampaignSpec spec = builtinCampaignSpec("single");
   const ShardPlan plan = planShards(spec, ShardPlanOptions{2, 2, {}});

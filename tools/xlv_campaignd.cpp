@@ -65,6 +65,7 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "util/artifact_store.h"
+#include "util/env.h"
 #include "util/fault_point.h"
 #include "util/log.h"
 
@@ -167,18 +168,6 @@ struct Args {
   }
 };
 
-/// Strict env default for a positive tunable: envLongStrict's contract
-/// (throw on malformed, fallback when unset) plus a positivity check —
-/// exactly as strict as XLV_WORKERS.
-long envPositive(const char* name, long fallback) {
-  const long v = campaign::envLongStrict(name, fallback);
-  if (v < 1) {
-    throw std::invalid_argument(std::string(name) + "=" + std::to_string(v) +
-                                " must be a positive integer");
-  }
-  return v;
-}
-
 Args parseArgs(int argc, char** argv, int first) {
   Args a;
   for (int i = first; i < argc; ++i) {
@@ -270,11 +259,12 @@ campaign::ServeOptions poolOptions(const char* self, const Args& a) {
   opt.workers = static_cast<int>(a.workers);
   opt.maxFragmentMutants = static_cast<std::size_t>(a.maxFragment);
   opt.heartbeatIntervalMs = static_cast<int>(
-      a.heartbeatMs > 0 ? a.heartbeatMs : envPositive("XLV_HEARTBEAT_MS", 200));
-  opt.heartbeatTimeoutMs =
-      static_cast<int>(a.heartbeatTimeoutMs > 0
-                           ? a.heartbeatTimeoutMs
-                           : envPositive("XLV_HEARTBEAT_TIMEOUT_MS", 10000));
+      a.heartbeatMs > 0 ? a.heartbeatMs
+                        : util::envLongStrict("XLV_HEARTBEAT_MS", 200, 1, INT_MAX));
+  opt.heartbeatTimeoutMs = static_cast<int>(
+      a.heartbeatTimeoutMs > 0
+          ? a.heartbeatTimeoutMs
+          : util::envLongStrict("XLV_HEARTBEAT_TIMEOUT_MS", 10000, 1, INT_MAX));
   if (a.maxAttempts > 0) opt.maxTaskAttempts = static_cast<int>(a.maxAttempts);
   if (a.maxRespawns >= 0) opt.maxWorkerRespawns = static_cast<int>(a.maxRespawns);
   opt.workerCommand = workerCommand(self, a);
