@@ -309,49 +309,6 @@ int resolveWorkerCount(int requested) {
 
 // --- worker ------------------------------------------------------------------
 
-namespace {
-
-/// Fault hooks are armed only for one worker slot's ORIGINAL process: the
-/// respawned generation must recover, which is exactly what the fault test
-/// asserts.
-bool faultHookArmed(int workerIndex, int generation) {
-  if (generation != 0) return false;
-  return util::envLongStrict("XLV_TEST_FAULT_WORKER", 0) == static_cast<long>(workerIndex);
-}
-
-/// Poison-unit hook: unlike the per-slot hooks above this one is armed for
-/// EVERY worker and every generation, because a poison unit by definition
-/// kills whoever runs it.  The server's quarantine path is what the matching
-/// test asserts, so the hook must survive respawns and work stealing.
-void maybeInjectPoison(const ShardUnit& unit) {
-  const long item = util::envLongStrict("XLV_TEST_POISON_ITEM", -1);
-  if (item < 0 || unit.taskId != static_cast<std::size_t>(item)) return;
-  const long mutant = util::envLongStrict("XLV_TEST_POISON_MUTANT", -1);
-  if (mutant < 0) return;
-  const bool hit = unit.wholeItem() ||
-                   (unit.mutantBegin <= static_cast<std::size_t>(mutant) &&
-                    static_cast<std::size_t>(mutant) < unit.mutantEnd);
-  if (hit) ::raise(SIGKILL);
-}
-
-void maybeInjectFault(int workerIndex, int generation, std::uint64_t itemsDone) {
-  if (!faultHookArmed(workerIndex, generation)) return;
-  const long dieAfter = util::envLongStrict("XLV_TEST_DIE_AFTER_ITEMS", -1);
-  if (dieAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(dieAfter)) {
-    ::raise(SIGKILL);  // crash mid-shard, no unwinding, no result
-  }
-  const long exitAfter = util::envLongStrict("XLV_TEST_EXIT_AFTER_ITEMS", -1);
-  if (exitAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(exitAfter)) {
-    ::_exit(9);  // orderly-looking nonzero exit without a result
-  }
-  const long hangAfter = util::envLongStrict("XLV_TEST_HANG_AFTER_ITEMS", -1);
-  if (hangAfter >= 0 && itemsDone >= static_cast<std::uint64_t>(hangAfter)) {
-    for (;;) ::pause();  // silent: no heartbeats, no result, never returns
-  }
-}
-
-}  // namespace
-
 int runDispatchWorker(const DispatchWorkerOptions& opt) {
   ignoreSigpipe();
   const std::uint64_t index = static_cast<std::uint64_t>(opt.workerIndex);
@@ -438,8 +395,14 @@ int runDispatchWorker(const DispatchWorkerOptions& opt) {
       return 8;
     }
 
-    maybeInjectPoison(submit.unit);
-    maybeInjectFault(opt.workerIndex, opt.generation, itemsDone);
+    // Chaos points drawn on accepting a unit (util/fault_point.h).
+    const ShardUnit& unit = submit.unit;
+    const util::FaultScope scope{index, generation, unit.taskId,
+                                 unit.wholeItem() ? 0 : unit.mutantBegin,
+                                 unit.wholeItem() ? UINT64_MAX : unit.mutantEnd};
+    if (util::faultPoint("worker.die", scope) != util::FaultAction::None) ::raise(SIGKILL);
+    if (util::faultPoint("worker.exit", scope) != util::FaultAction::None) ::_exit(9);
+    if (util::faultPoint("worker.hang", scope) != util::FaultAction::None) for (;;) ::pause();
 
     if (!sendStatus("working")) return 6;
 

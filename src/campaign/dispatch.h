@@ -212,16 +212,12 @@ struct DispatchWorkerOptions {
 /// on a miss, entries whose handoff file is gone (the server removes it when
 /// the campaign finishes) are dropped.
 ///
-/// Fault-injection hooks (tests/campaign/dispatch_fault_test.cpp), honored
-/// only when XLV_TEST_FAULT_WORKER (default 0) names this workerIndex AND
-/// generation == 0, so the respawned worker recovers:
-///   XLV_TEST_DIE_AFTER_ITEMS=N   raise(SIGKILL) on accepting a unit once
-///                                itemsDone >= N (crash mid-shard);
-///   XLV_TEST_HANG_AFTER_ITEMS=N  stop heartbeating and sleep forever
-///                                (exercises the heartbeat timeout);
-///   XLV_TEST_EXIT_AFTER_ITEMS=N  _exit(9) (orderly-looking failure).
-/// XLV_TEST_POISON_ITEM=I / XLV_TEST_POISON_MUTANT=M SIGKILL EVERY worker
-/// that starts a unit covering item I's mutant M (the quarantine path).
+/// On accepting a unit the worker draws the XLV_FAULTS points worker.die
+/// (SIGKILL), worker.exit (_exit(9)) and worker.hang (silent forever) with
+/// its slot, generation and unit as the scope (util/fault_point.h):
+/// `worker.die:fail:worker=0` crashes slot 0's generation 0 only, and
+/// `worker.die:fail:item=0:mutant=1` kills every worker that starts a unit
+/// covering item 0's mutant 1 (the quarantine path).
 int runDispatchWorker(const DispatchWorkerOptions& opt);
 
 /// Worker pool size: `requested` when > 0, else strict-parsed XLV_WORKERS

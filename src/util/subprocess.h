@@ -44,8 +44,8 @@ SubprocessResult runCommandCapture(const std::vector<std::string>& argv);
 bool setNonBlocking(int fd) noexcept;
 
 /// Extra environment entries set in the child after fork (inheriting the
-/// parent environment otherwise); the campaign server uses this for per-worker
-/// coordinates (XLV_WORKER_INDEX / XLV_WORKER_GENERATION).
+/// parent environment otherwise), e.g. an XLV_FAULTS spec scoped to one
+/// child so the spawning process itself stays unarmed.
 using SubprocessEnv = std::vector<std::pair<std::string, std::string>>;
 
 /// Asynchronous child process with piped stdin/stdout (stderr is inherited

@@ -10,6 +10,7 @@
 #include "ir/elaborate.h"
 #include "rtl/kernel.h"
 #include "util/prng.h"
+#include "compiled_executor.h"
 
 namespace xlv::abstraction {
 namespace {

@@ -26,6 +26,7 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "util/fault_point.h"
 #include "util/subprocess.h"
 
 #ifdef XLV_CAMPAIGND_BIN
@@ -33,18 +34,14 @@
 namespace xlv::campaign {
 namespace {
 
-/// Keeps the TEST process env clean of every chaos knob, so only the
-/// daemon's extraEnv decides what faults fly.
+/// Keeps XLV_FAULTS out of the TEST process env and its registry, so only
+/// the daemon's extraEnv decides what faults fly.
 struct CleanEnv {
   CleanEnv() { clear(); }
   ~CleanEnv() { clear(); }
   static void clear() {
-    for (const char* v : {"XLV_FAULTS", "XLV_TEST_DIE_AFTER_ITEMS",
-                          "XLV_TEST_HANG_AFTER_ITEMS", "XLV_TEST_EXIT_AFTER_ITEMS",
-                          "XLV_TEST_FAULT_WORKER", "XLV_TEST_POISON_ITEM",
-                          "XLV_TEST_POISON_MUTANT"}) {
-      ::unsetenv(v);
-    }
+    ::unsetenv("XLV_FAULTS");
+    util::reloadFaultPointsFromEnv();
   }
 };
 
@@ -176,10 +173,9 @@ TEST(CampaignChaos, FaultStormNeverKillsTheServerAndSurvivorsStayBitIdentical) {
   // Deterministic seeds keep the schedule reproducible.
   Daemon daemon({{"XLV_FAULTS",
                   "worker.spawn:fail:times=1,"
+                  "worker.die:fail:worker=1,"
                   "frame.write:short:p=0.01:seed=3,"
-                  "store.write:fail:p=0.2:seed=4"},
-                 {"XLV_TEST_FAULT_WORKER", "1"},
-                 {"XLV_TEST_DIE_AFTER_ITEMS", "0"}},
+                  "store.write:fail:p=0.2:seed=4"}},
                 3);
   ASSERT_TRUE(daemon.waitListening()) << "daemon died on startup";
 
@@ -206,6 +202,22 @@ TEST(CampaignChaos, FaultStormNeverKillsTheServerAndSurvivorsStayBitIdentical) {
   const std::string ledger = daemon.ledgerJson();
   ASSERT_FALSE(ledger.empty()) << "no ledger written on drain";
   EXPECT_NE(ledger.find("\"drained\": true"), std::string::npos) << ledger;
+}
+
+TEST(CampaignChaos, MalformedWorkerClauseStopsTheDaemonBeforeAnyUnitRuns) {
+  XLV_REQUIRE_CHAOS_DAEMON();
+  CleanEnv clean;
+  // A typo in a worker clause is a start-up diagnostic and exit 1 — the
+  // daemon never listens, so no worker can run a unit with the fault
+  // silently dropped. The daemon inherits the captured stderr.
+  testing::internal::CaptureStderr();
+  Daemon daemon({{"XLV_FAULTS", "worker.die:fail:worker=abc"}}, 2);
+  const int rc = daemon.proc.started() ? daemon.proc.wait() : -2;
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1) << err;
+  EXPECT_NE(err.find("XLV_FAULTS:"), std::string::npos) << err;
+  EXPECT_EQ(err.find("worker 0"), std::string::npos) << err;
+  EXPECT_NE(::access(daemon.sock.c_str(), F_OK), 0) << "the daemon listened";
 }
 
 TEST(CampaignChaos, AcceptFaultsBounceConnectionsButNeverTheServer) {

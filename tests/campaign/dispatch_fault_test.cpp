@@ -5,8 +5,8 @@
 // Each test runs the builtin "single" campaign through runCampaignOnPool
 // (the `xlv_campaignd run` entry point: the serve engine with one adopted
 // connection) with a 3-worker pool of actual subprocesses, injects one
-// fault into worker 0's first generation through the XLV_TEST_* hooks
-// (SIGKILL mid-shard, hang without heartbeats, nonzero exit, poison unit),
+// fault through an XLV_FAULTS worker clause (util/fault_point.h: SIGKILL
+// mid-shard, hang without heartbeats, nonzero exit, poison unit),
 // and asserts the two halves of the acceptance criterion:
 //
 //   1. the lost unit shows up in the campaign's requeuedShards ledger
@@ -27,29 +27,27 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "util/fault_point.h"
 
 namespace xlv::campaign {
 namespace {
 
-const char* const kFaultVars[] = {
-    "XLV_TEST_DIE_AFTER_ITEMS",
-    "XLV_TEST_HANG_AFTER_ITEMS",
-    "XLV_TEST_EXIT_AFTER_ITEMS",
-    "XLV_TEST_FAULT_WORKER",
-    "XLV_TEST_POISON_ITEM",
-    "XLV_TEST_POISON_MUTANT",
-};
-
-/// Clears every fault hook on construction AND destruction, so a failing
-/// test cannot leak a fault into its neighbors; set() arms one hook for the
-/// lifetime of the guard.
+/// Unsets XLV_FAULTS on construction AND destruction, so a failing test
+/// cannot leak a fault into its neighbors; set() arms a spec for the
+/// lifetime of the guard. Both re-read the registry, so a binary run as one
+/// process (not one per test) never carries an armed registry into a later
+/// test — worker_spec_cache_test runs the worker loop in-process.
 struct FaultEnv {
   FaultEnv() { clear(); }
   ~FaultEnv() { clear(); }
   static void clear() {
-    for (const char* v : kFaultVars) ::unsetenv(v);
+    ::unsetenv("XLV_FAULTS");
+    util::reloadFaultPointsFromEnv();
   }
-  void set(const char* name, const char* value) { ::setenv(name, value, 1); }
+  void set(const char* spec) {
+    ::setenv("XLV_FAULTS", spec, 1);
+    util::reloadFaultPointsFromEnv();
+  }
 };
 
 #ifdef XLV_CAMPAIGND_BIN
@@ -112,8 +110,8 @@ TEST(DispatchFault, SigkilledWorkerShardIsRequeuedAndMergeStaysBitIdentical) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
   // Worker 0 (generation 0) raises SIGKILL on accepting its first unit —
-  // the crash-mid-shard case of the ISSUE, via the documented test hook.
-  env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");
+  // the crash-mid-shard case.
+  env.set("worker.die:fail:worker=0");
   const CampaignSpec spec = builtinCampaignSpec("single");
   const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
   const CampaignLedgerEntry& entry = campaignEntry(out);
@@ -140,7 +138,7 @@ TEST(DispatchFault, HungWorkerHitsHeartbeatTimeoutAndItsShardIsRequeued) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
   // Worker 0 accepts a unit, then goes silent (no heartbeats, no result).
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
+  env.set("worker.hang:fail:worker=0");
   ServeOptions opt = daemonOptions();
   // Tight liveness window so the test completes quickly; the real default
   // stays at 10 s.
@@ -163,7 +161,7 @@ TEST(DispatchFault, HungWorkerHitsHeartbeatTimeoutAndItsShardIsRequeued) {
 TEST(DispatchFault, NonzeroExitWorkerShardIsRequeued) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
-  env.set("XLV_TEST_EXIT_AFTER_ITEMS", "0");
+  env.set("worker.exit:fail:worker=0");
   const CampaignSpec spec = builtinCampaignSpec("single");
   const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
   const CampaignLedgerEntry& entry = campaignEntry(out);
@@ -180,10 +178,9 @@ TEST(DispatchFault, NonzeroExitWorkerShardIsRequeued) {
 TEST(DispatchFault, FaultOnALaterWorkerSlotRecoversToo) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
-  // Same SIGKILL hook, but aimed at worker 2 — recovery must not depend on
+  // Same SIGKILL fault, but aimed at worker 2 — recovery must not depend on
   // which slot dies.
-  env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");
-  env.set("XLV_TEST_FAULT_WORKER", "2");
+  env.set("worker.die:fail:worker=2");
   const CampaignSpec spec = builtinCampaignSpec("single");
   const PoolRunResult out = runCampaignOnPool(spec, daemonOptions());
   const CampaignLedgerEntry& entry = campaignEntry(out);
@@ -202,8 +199,7 @@ TEST(DispatchFault, RunQuarantinesPoisonUnit) {
   // Every worker of every generation SIGKILLs itself on item 0's mutant 1.
   // Attempt exhaustion used to fail the whole run (exit 6); the serve
   // engine's quarantine now narrows the loss to the poisoned item.
-  env.set("XLV_TEST_POISON_ITEM", "0");
-  env.set("XLV_TEST_POISON_MUTANT", "1");
+  env.set("worker.die:fail:item=0:mutant=1");
   CampaignSpec spec = builtinCampaignSpec("smoke");
   ASSERT_GE(spec.items.size(), 3u);
   spec.items.resize(3);

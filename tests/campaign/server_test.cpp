@@ -35,30 +35,27 @@
 #include "campaign/server.h"
 #include "campaign/shard.h"
 #include "core/flow.h"
+#include "util/fault_point.h"
 
 namespace xlv::campaign {
 namespace {
 
-const char* const kFaultVars[] = {
-    "XLV_TEST_DIE_AFTER_ITEMS",
-    "XLV_TEST_HANG_AFTER_ITEMS",
-    "XLV_TEST_EXIT_AFTER_ITEMS",
-    "XLV_TEST_FAULT_WORKER",
-    "XLV_TEST_POISON_ITEM",
-    "XLV_TEST_POISON_MUTANT",
-    "XLV_FAULTS",
-};
-
-/// Clears every fault hook on construction AND destruction, so a failing
-/// test cannot leak a fault into its neighbors; set() arms one hook for the
-/// lifetime of the guard.
+/// Unsets XLV_FAULTS on construction AND destruction, so a failing test
+/// cannot leak a fault into its neighbors; set() arms a spec for the
+/// lifetime of the guard. Both re-read the registry, so a binary run as one
+/// process (not one per test) never carries an armed registry into a later
+/// test — worker_spec_cache_test runs the worker loop in-process.
 struct FaultEnv {
   FaultEnv() { clear(); }
   ~FaultEnv() { clear(); }
   static void clear() {
-    for (const char* v : kFaultVars) ::unsetenv(v);
+    ::unsetenv("XLV_FAULTS");
+    util::reloadFaultPointsFromEnv();
   }
-  void set(const char* name, const char* value) { ::setenv(name, value, 1); }
+  void set(const char* spec) {
+    ::setenv("XLV_FAULTS", spec, 1);
+    util::reloadFaultPointsFromEnv();
+  }
 };
 
 TEST(CampaignServer, LedgerJsonCarriesPerCampaignEntries) {
@@ -279,7 +276,7 @@ TEST(CampaignServer, SigkilledWorkerIsRespawnedAndServedResultStaysBitIdentical)
   FaultEnv env;
   // Worker 0 (generation 0) SIGKILLs itself on its first unit — the
   // acceptance criterion's fault-injected serve run.
-  env.set("XLV_TEST_DIE_AFTER_ITEMS", "0");
+  env.set("worker.die:fail:worker=0");
   ServerHarness server;
   const SubmitOutcome out =
       submitCampaign(builtinCampaignSpec("single"), server.clientOptions("survivor"));
@@ -303,7 +300,7 @@ TEST(CampaignServer, SmallCampaignsFinishBeforeAHugeCampaignsTail) {
   // heartbeat clock runs down, two small submissions arrive. Round-robin
   // fairness then MUST finish both one-unit campaigns before the huge
   // campaign's remaining units — deterministically, not by timing luck.
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
+  env.set("worker.hang:fail:worker=0");
   ServerHarness server([](ServeOptions& o) {
     o.workers = 1;
     o.heartbeatIntervalMs = 50;
@@ -367,7 +364,7 @@ TEST(CampaignServer, FloodedQueueYieldsStructuredRejectAndTheSurvivorCompletes) 
   // ~two dozen pending units in the admission queue; a second submission
   // during that window must bounce off maxPendingUnits with a structured
   // RejectFrame, not hang and not kill the server.
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
+  env.set("worker.hang:fail:worker=0");
   ServerHarness server([](ServeOptions& o) {
     o.workers = 1;
     o.heartbeatIntervalMs = 50;
@@ -476,8 +473,7 @@ TEST(CampaignServer, PoisonFragmentIsBisectedUntilTheMutantIsQuarantined) {
   // bisect the [0,2) fragment, re-queue both halves, and quarantine the
   // irreducible [1,2) half: the campaign COMPLETES with a structured
   // per-item error instead of failing wholesale.
-  env.set("XLV_TEST_POISON_ITEM", "0");
-  env.set("XLV_TEST_POISON_MUTANT", "1");
+  env.set("worker.die:fail:item=0:mutant=1");
   ServerHarness server([](ServeOptions& o) {
     o.maxTaskAttempts = 2;
     o.maxWorkerRespawns = 50;  // each poison hit costs one respawn
@@ -509,8 +505,7 @@ TEST(CampaignServer, PoisonFragmentIsBisectedUntilTheMutantIsQuarantined) {
 TEST(CampaignServer, QuarantineIsolatesThePoisonItemAndNeighborsStayBitIdentical) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
-  env.set("XLV_TEST_POISON_ITEM", "1");
-  env.set("XLV_TEST_POISON_MUTANT", "0");
+  env.set("worker.die:fail:item=1:mutant=0");
   CampaignSpec spec = builtinCampaignSpec("smoke");
   ASSERT_GE(spec.items.size(), 3u);
   spec.items.resize(3);
@@ -545,7 +540,7 @@ TEST(CampaignServer, SigtermDrainsFinishInFlightAndRejectsNewSubmissions) {
   // The single gen-0 worker hangs on the first unit, pinning the admitted
   // campaign live while the drain signal lands; the heartbeat then kills
   // the hung worker and its respawn finishes the campaign under drain.
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
+  env.set("worker.hang:fail:worker=0");
   ServerHarness server([](ServeOptions& o) {
     o.workers = 1;
     o.heartbeatIntervalMs = 50;
@@ -688,7 +683,7 @@ TEST(CampaignServer, HalfOpenClientIsTimedOutWithAStructuredReject) {
 TEST(CampaignServer, DeadlineExceededFailsTheCampaignStructurally) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");  // the worker sits on unit 0
+  env.set("worker.hang:fail:worker=0");  // the worker sits on unit 0
   ServerHarness server([](ServeOptions& o) {
     o.workers = 1;
     o.heartbeatIntervalMs = 50;
@@ -715,7 +710,7 @@ TEST(CampaignServer, RejectedSubmissionIsRetriedAfterTheServersHint) {
   // queue for its whole 1.5 s heartbeat window; both attempts of the
   // retrying client land inside it, so both bounce — proving the retry
   // actually ran and came back with the same structured answer.
-  env.set("XLV_TEST_HANG_AFTER_ITEMS", "0");
+  env.set("worker.hang:fail:worker=0");
   ServerHarness server([](ServeOptions& o) {
     o.workers = 1;
     o.heartbeatIntervalMs = 50;

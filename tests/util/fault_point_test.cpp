@@ -84,6 +84,25 @@ TEST(FaultPoint, MultipleClausesArmIndependently) {
   EXPECT_EQ(faultPoint("server.accept"), FaultAction::Fail);
 }
 
+TEST(FaultPoint, WorkerScopeKeysPickTheSlotsFirstProcessOrTheUnitsMutant) {
+  FaultsEnv env("worker.die:fail:worker=1,worker.hang:fail:item=2:mutant=5");
+  const auto die = [](std::uint64_t slot, std::uint64_t generation) {
+    return faultPoint("worker.die", FaultScope{slot, generation, 0, 0, 1});
+  };
+  EXPECT_EQ(die(1, 0), FaultAction::Fail);
+  EXPECT_EQ(die(1, 1), FaultAction::None) << "the respawned generation must recover";
+  EXPECT_EQ(die(0, 0), FaultAction::None) << "other slots stay clean";
+  const auto hang = [](std::uint64_t item, std::uint64_t begin, std::uint64_t end) {
+    return faultPoint("worker.hang", FaultScope{3, 7, item, begin, end});
+  };
+  EXPECT_EQ(hang(2, 4, 6), FaultAction::Fail) << "any slot, any generation";
+  EXPECT_EQ(hang(2, 0, UINT64_MAX), FaultAction::Fail) << "a whole-item unit covers the mutant";
+  EXPECT_EQ(hang(2, 6, 8), FaultAction::None);
+  EXPECT_EQ(hang(2, 0, 5), FaultAction::None) << "the range end is exclusive";
+  EXPECT_EQ(hang(1, 4, 6), FaultAction::None);
+  EXPECT_EQ(faultPoint("worker.exit", FaultScope{1, 0, 2, 0, UINT64_MAX}), FaultAction::None);
+}
+
 TEST(FaultPoint, MalformedSpecsThrowInsteadOfRunningClean) {
   for (const char* bad : {
            "store.write",                    // missing action
@@ -95,6 +114,10 @@ TEST(FaultPoint, MalformedSpecsThrowInsteadOfRunningClean) {
            "store.write:fail:ms=10",         // ms only belongs to delay
            "store.write:delay",              // delay without ms=
            ",",                              // empty clause
+           "worker.die:short",               // worker.* points only take fail
+           "store.write:fail:worker=0",      // scope keys only on worker.*
+           "worker.die:fail:item=0",         // item= without mutant=
+           "worker.die:fail:worker=x",       // unparsable slot
        }) {
     ::setenv("XLV_FAULTS", bad, 1);
     EXPECT_THROW(reloadFaultPointsFromEnv(), FaultConfigError) << bad;

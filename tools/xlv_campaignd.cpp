@@ -40,11 +40,11 @@
 // Env knobs (all strict — a malformed value aborts with a message, it never
 // silently runs with a default): XLV_WORKERS (pool size when --workers is
 // absent), XLV_HEARTBEAT_MS / XLV_HEARTBEAT_TIMEOUT_MS (defaults for the
-// corresponding flags). Fault-injection hooks for the test harness
-// (XLV_TEST_DIE_AFTER_ITEMS / XLV_TEST_HANG_AFTER_ITEMS /
-// XLV_TEST_EXIT_AFTER_ITEMS, scoped by XLV_TEST_FAULT_WORKER to one
-// worker's generation 0; XLV_TEST_POISON_ITEM / _MUTANT) are documented in
-// campaign/dispatch.h.
+// corresponding flags), and XLV_FAULTS (util/fault_point.h): one
+// fault-injection grammar for the server's points and the workers'
+// worker.die / worker.exit / worker.hang, e.g. `worker.die:fail:worker=0`
+// (slot 0 crashes on its first unit) or `worker.die:fail:item=0:mutant=1`
+// (a poison unit). A malformed spec exits 1 before any worker starts.
 //
 // Exit codes: 0 success, 1 usage or runtime error, 3 campaign completed but
 // one or more items errored or were quarantined (the merged output is still
