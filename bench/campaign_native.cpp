@@ -7,15 +7,19 @@
 // comparison rather than a measure of how much the divergence fast path
 // happened to skip.
 //
-// The native compile is warmed OUTSIDE the timed region (compile cost is
-// amortised across a campaign and cached in the artifact store; the paper's
-// claim is about simulation throughput). Between legs the result/trace
+// The first native leg runs cold: it compiles, and its wall time is
+// reported as wall_seconds_native_cold_single (informational — it measures
+// the host compiler). It must compile exactly one library, the injected
+// design's (compile_once_ok: the golden trace runs on the interpreter). The
+// timed engine comparison then runs with the compile cached (the paper's
+// claim is about simulation throughput): between legs the result/trace
 // caches are cleared but the native .so cache is deliberately kept.
 //
-// Self-check: native results bit-identical to the interpreter's AND >= 2x
-// wall-time speedup (the ISSUE 6 acceptance bar). Without a system C++
-// compiler the bench prints a visible notice and reports
-// native_available=0 — skipping is a recorded state, not a silent pass.
+// Self-check: native results bit-identical to the interpreter's, >= 2x
+// wall-time speedup (the ISSUE 6 acceptance bar) and one compile in the
+// cold leg. Without a system C++ compiler the bench prints a visible notice
+// and reports native_available=0 — skipping is a recorded state, not a
+// silent pass.
 #include <stdlib.h>
 
 #include <chrono>
@@ -80,15 +84,22 @@ int main() {
   // Full replay in both legs: same deterministic cycle count per engine.
   ::setenv("XLV_REFERENCE_SIM", "1", 1);
 
-  // Warm-up: compiles (and memoises) the native library for this design,
-  // and touches every code path once so neither timed leg pays first-run
-  // costs the other doesn't.
+  // Cold leg, also the warm-up: compiles (and memoises) the native library
+  // for this design, and touches every code path once so neither timed leg
+  // pays first-run costs the other doesn't.
   clearResultCaches();
+  const Clock::time_point c0 = Clock::now();
   const campaign::CampaignResult warm = campaign::runCampaign(workload(analysis::SimBackend::Native));
+  const double coldSeconds = seconds(c0, Clock::now());
   bool ok = warm.ok();
   if (warm.nativeCompiles + warm.nativeCacheHits == 0) {
     std::fprintf(stderr, "FAIL: warm-up leg did no native work (compiles 0, hits 0)\n");
     ok = false;
+  }
+  const bool compileOnce = warm.nativeCompiles == 1;
+  if (!compileOnce) {
+    std::fprintf(stderr, "FAIL: cold leg compiled %d libraries, expected exactly 1\n",
+                 warm.nativeCompiles);
   }
 
   // Timed leg 1: interpreter.
@@ -132,7 +143,7 @@ int main() {
   if (native.nativeCompiles + native.nativeCacheHits == 0) {
     std::fprintf(stderr, "FAIL: timed native leg reports no native engine use\n");
   }
-  ok = ok && interp.ok() && native.ok() && identical && speedup >= 2.0 &&
+  ok = ok && interp.ok() && native.ok() && identical && speedup >= 2.0 && compileOnce &&
        native.nativeCompiles + native.nativeCacheHits > 0;
 
   std::printf(
@@ -144,11 +155,13 @@ int main() {
   bench::writeBenchJson(
       "campaign",
       {{"native_available", 1.0},
+       {"wall_seconds_native_cold_single", coldSeconds},
        {"wall_seconds_interp_single", interpSeconds},
        {"wall_seconds_native_single", nativeSeconds},
        {"native_speedup_single", speedup},
        {"cycles_simulated_single", static_cast<double>(interp.cyclesSimulated)},
        {"native_compiles", static_cast<double>(warm.nativeCompiles)},
+       {"compile_once_ok", compileOnce ? 1.0 : 0.0},
        {"native_cache_hits",
         static_cast<double>(warm.nativeCacheHits + native.nativeCacheHits)},
        {"self_check_ok", ok ? 1.0 : 0.0}});

@@ -199,9 +199,6 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
   const std::string identity = (fourState ? "n4s-" : "n2s-") + hex64(h);
   const std::size_t expectWords = nativeStateWords(layout);
 
-  bool wasHit = false;
-  bool compiledHere = false;
-  bool diskHere = false;
   const std::shared_ptr<const NativeLibraryPtr> cached = nativeLibCache().getOrBuild(
       identity,
       [&]() -> NativeLibraryPtr {
@@ -217,10 +214,7 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
         if (store != nullptr) {
           if (std::optional<std::string> bytes = store->load("native", identity)) {
             std::string why;
-            if (auto lib = openLibrary(*bytes, identity, expectWords, &why)) {
-              diskHere = true;
-              return lib;
-            }
+            if (auto lib = openLibrary(*bytes, identity, expectWords, &why)) return lib;
             store->dropCorrupt("native", identity);
             XLV_WARN("native") << "cached object for '" << layout.design.name
                                << "' rejected (" << why << "); recompiling";
@@ -268,17 +262,16 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
                              << "); falling back to the interpreter";
           return nullptr;
         }
-        compiledHere = true;
+        lib->compiledHere = true;
         if (store != nullptr) store->store("native", identity, bytes);
         return lib;
-      },
-      &wasHit);
+      });
 
   const NativeLibraryPtr lib = cached != nullptr ? *cached : nullptr;
   if (stats != nullptr && lib != nullptr) {
-    if (compiledHere) {
+    if (!lib->claimed.exchange(true, std::memory_order_relaxed) && lib->compiledHere) {
       stats->compiles += 1;
-    } else if (wasHit || diskHere) {
+    } else {
       stats->cacheHits += 1;
     }
   }

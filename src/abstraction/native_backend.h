@@ -17,6 +17,7 @@
 // the conformance suite.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,8 +29,9 @@
 
 namespace xlv::abstraction {
 
-/// Per-call ledger of getNativeLibrary: a fresh compile vs a reuse (memory
-/// or artifact-store hit). Feeds AnalysisReport::nativeCompiles/CacheHits.
+/// Per-call ledger of getNativeLibrary: a compile vs a reuse (memory or
+/// artifact-store hit), under the claim rule documented there. Feeds
+/// AnalysisReport::nativeCompiles/CacheHits.
 struct NativeUseStats {
   int compiles = 0;
   int cacheHits = 0;
@@ -57,6 +59,12 @@ class NativeLibrary {
   void (*load)(void*, const std::uint64_t*) = nullptr;
 
   std::size_t stateWords = 0;
+  /// Origin: this process compiled the object (false when it was loaded
+  /// from the artifact store).
+  bool compiledHere = false;
+  /// Set by the first ledger-keeping acquisition (getNativeLibrary with
+  /// non-null stats): the one that charges the compile, when compiledHere.
+  mutable std::atomic<bool> claimed{false};
 
  private:
   friend class NativeLibraryBuilder;
@@ -76,9 +84,16 @@ std::string nativeToolchainDescription();
 
 /// The native library for `layout` under the given policy, or null when the
 /// backend is unavailable (no toolchain / compile failure — warned once per
-/// design). `stats`, when non-null, is incremented by what THIS call did:
-/// one compile, or one cache hit (memory or artifact store). Thread-safe;
-/// concurrent callers for the same layout share one build.
+/// design). Thread-safe; concurrent callers for the same layout share one
+/// build.
+///
+/// Ledger (claim rule): the library may be built ahead of its user (the
+/// campaign compile-ahead passes null `stats` and counts nothing). The
+/// first call with non-null `stats` to receive a library claims it and
+/// counts one compile if this process compiled it, one cache hit if it
+/// came from the artifact store; every later call counts one cache hit.
+/// So a campaign's compile count does not depend on who triggered the
+/// build.
 NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
                                   NativeUseStats* stats = nullptr);
 

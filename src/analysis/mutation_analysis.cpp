@@ -254,20 +254,12 @@ double AnalysisReport::correctedPct() const noexcept {
 template <class P>
 GoldenTrace recordGoldenTrace(const ir::Design& golden,
                               const std::vector<InsertedSensor>& sensors, const Testbench& tb,
-                              const AnalysisConfig& cfg,
-                              abstraction::NativeUseStats* nativeStats) {
-  // The recording runs on the campaign's resolved backend too — on the
-  // native path the golden replay would otherwise dominate the remaining
-  // interpreter time (Amdahl), and a fallback here is safe because the
-  // engines are bit-identical.
-  const auto layout =
-      abstraction::buildTlmModelLayout(golden, TlmModelConfig{cfg.hfRatio, false});
-  abstraction::NativeLibraryPtr lib;
-  if (resolveSimBackend(cfg.backend) == SimBackend::Native) {
-    lib = abstraction::getNativeLibrary(*layout, std::is_same_v<P, hdt::FourState>,
-                                        nativeStats);
-  }
-  Session<P> model(layout, lib);
+                              const AnalysisConfig& cfg) {
+  // Always the interpreter: one run does not repay a native compile of the
+  // clean design, and the engines are bit-identical, so the trace (and its
+  // backend-free cache key) is the same either way.
+  TlmIpModel<P> model(
+      abstraction::buildTlmModelLayout(golden, TlmModelConfig{cfg.hfRatio, false}));
   const std::size_t n = sensors.size();
   std::vector<ir::SymbolId> endpointSyms, eSyms(n, ir::kNoSymbol), mvSyms(n, ir::kNoSymbol),
       okSyms(n, ir::kNoSymbol);
@@ -296,7 +288,7 @@ GoldenTrace recordGoldenTrace(const ir::Design& golden,
 
   const ir::SymbolId recoverySym = golden.findSymbol(cfg.recoveryPort);
   const DriveFn drive = tb.driverForTask(cfg.stimulusId);
-  PortBinder<Session<P>> ports(model);
+  PortBinder<TlmIpModel<P>> ports(model);
   const PortSetter setter = ports.setter();
   for (std::uint64_t c = 0; c < tb.cycles; ++c) {
     drive(c, setter);
@@ -337,7 +329,23 @@ constexpr const char* policyTag() {
   return std::is_same_v<P, hdt::TwoState> ? "2s" : "4s";
 }
 
+/// The injected design compiled and levelized for an analysis under `cfg`:
+/// the layout every campaign session clones, and the one the native library
+/// is keyed on — compileAhead and prepareMutationCampaign must agree on it.
+abstraction::TlmModelLayoutPtr injectedLayout(const InjectedDesign& injected,
+                                              const AnalysisConfig& cfg) {
+  return abstraction::buildTlmModelLayout(injected.design,
+                                          TlmModelConfig{cfg.hfRatio, false}, injected.mutants);
+}
+
 }  // namespace
+
+template <class P>
+void compileAhead(const InjectedDesign& injected, const AnalysisConfig& cfg) {
+  if (resolveSimBackend(cfg.backend) != SimBackend::Native) return;
+  abstraction::getNativeLibrary(*injectedLayout(injected, cfg),
+                                std::is_same_v<P, hdt::FourState>);
+}
 
 template <class P>
 MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
@@ -361,33 +369,26 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
     // and counts as served-from-cache.
     double recordSeconds = 0.0;
     bool memHit = false;
-    abstraction::NativeUseStats goldNative;
     ctx.gold = util::getOrBuildWithStore<GoldenTrace>(
         goldenTraceCache(), util::processArtifactStore(), "golden", ctx.goldenKey,
         [&] {
           util::Timer t;
-          GoldenTrace trace = recordGoldenTrace<P>(golden, sensors, tb, cfg, &goldNative);
+          GoldenTrace trace = recordGoldenTrace<P>(golden, sensors, tb, cfg);
           recordSeconds = t.seconds();
           return trace;
         },
         encodeGoldenTrace, decodeGoldenTrace, &memHit, &ctx.goldenFromDisk);
     ctx.goldenFromCache = memHit || ctx.goldenFromDisk;
     ctx.goldenSeconds = recordSeconds;
-    ctx.nativeCompiles += goldNative.compiles;
-    ctx.nativeCacheHits += goldNative.cacheHits;
   } else {
     util::Timer t;
-    abstraction::NativeUseStats goldNative;
     ctx.gold = std::make_shared<const GoldenTrace>(
-        recordGoldenTrace<P>(golden, sensors, tb, cfg, &goldNative));
+        recordGoldenTrace<P>(golden, sensors, tb, cfg));
     ctx.goldenSeconds = t.seconds();
-    ctx.nativeCompiles += goldNative.compiles;
-    ctx.nativeCacheHits += goldNative.cacheHits;
   }
   // Compile + levelize the injected design once; every task clones a cheap
   // private session from this shared layout.
-  ctx.layout = abstraction::buildTlmModelLayout(
-      injected.design, TlmModelConfig{cfg.hfRatio, false}, injected.mutants);
+  ctx.layout = injectedLayout(injected, cfg);
   ctx.recoverySym = ctx.layout->design.findSymbol(cfg.recoveryPort);
   ctx.hasRecovery = ctx.recoverySym != ir::kNoSymbol;
   ctx.referenceSim = referenceSimMode();
@@ -398,8 +399,8 @@ MutationCampaignContext prepareMutationCampaign(const ir::Design& golden,
     abstraction::NativeUseStats injNative;
     ctx.nativeLib = abstraction::getNativeLibrary(
         *ctx.layout, std::is_same_v<P, hdt::FourState>, &injNative);
-    ctx.nativeCompiles += injNative.compiles;
-    ctx.nativeCacheHits += injNative.cacheHits;
+    ctx.nativeCompiles = injNative.compiles;
+    ctx.nativeCacheHits = injNative.cacheHits;
   }
   ctx.batch = resolveBatchSize(cfg.batch);
   // ~16 checkpoints across the run: fine enough that a fast-forward lands
@@ -879,12 +880,12 @@ AnalysisReport analyzeMutations(const ir::Design& golden, const InjectedDesign& 
 
 template GoldenTrace recordGoldenTrace<hdt::FourState>(const ir::Design&,
                                                        const std::vector<InsertedSensor>&,
-                                                       const Testbench&, const AnalysisConfig&,
-                                                       abstraction::NativeUseStats*);
+                                                       const Testbench&, const AnalysisConfig&);
 template GoldenTrace recordGoldenTrace<hdt::TwoState>(const ir::Design&,
                                                       const std::vector<InsertedSensor>&,
-                                                      const Testbench&, const AnalysisConfig&,
-                                                      abstraction::NativeUseStats*);
+                                                      const Testbench&, const AnalysisConfig&);
+template void compileAhead<hdt::FourState>(const InjectedDesign&, const AnalysisConfig&);
+template void compileAhead<hdt::TwoState>(const InjectedDesign&, const AnalysisConfig&);
 template MutationCampaignContext prepareMutationCampaign<hdt::FourState>(
     const ir::Design&, const InjectedDesign&, const std::vector<InsertedSensor>&,
     const Testbench&, const AnalysisConfig&);

@@ -48,8 +48,9 @@
 
 namespace xlv::analysis {
 
-/// Simulation engine for every run of a campaign (golden recording,
-/// checkpoint recording, per-mutant co-simulations). The two engines are
+/// Simulation engine for the injected-design runs of a campaign (checkpoint
+/// recording, per-mutant co-simulations; the golden recording always runs on
+/// the interpreter, see recordGoldenTrace). The two engines are
 /// bit-identical — the conformance suite pins sameResults across them — so
 /// the choice is purely a wall-time knob.
 enum class SimBackend {
@@ -210,8 +211,9 @@ struct AnalysisConfig {
   /// the contract process-level shard fragments rely on.
   std::size_t mutantBegin = 0;
   std::size_t mutantEnd = 0;
-  /// Simulation engine for every run of this campaign (golden recording,
-  /// checkpoints, mutant co-simulations). Auto defers to XLV_BACKEND.
+  /// Simulation engine for the injected-design runs of this campaign
+  /// (checkpoints, mutant co-simulations; never the golden recording).
+  /// Auto defers to XLV_BACKEND.
   /// Results are bit-identical across backends; only timing ledgers move.
   SimBackend backend = SimBackend::Auto;
   /// Mutants per co-simulation task: K sessions march lock-step against ONE
@@ -244,15 +246,15 @@ struct GoldenTrace {
   std::vector<std::uint64_t> firstActivity;           // [sensorIdx]
 };
 
-/// Record the golden trajectory on the backend cfg.backend resolves to
-/// (native falls back to the interpreter when unavailable). `nativeStats`,
-/// when non-null, receives the native-library compile/cache ledger of this
-/// recording.
+/// Record the golden trajectory, always on the interpreter whatever
+/// cfg.backend says: it is one run, so a native compile of the clean design
+/// would cost more than it saves, and the engines are bit-identical, so the
+/// trace (and its backend-free cache key) is the same either way. Only the
+/// injected design of a native analysis is compiled.
 template <class P>
 GoldenTrace recordGoldenTrace(const ir::Design& golden,
                               const std::vector<insertion::InsertedSensor>& sensors,
-                              const Testbench& tb, const AnalysisConfig& cfg,
-                              abstraction::NativeUseStats* nativeStats = nullptr);
+                              const Testbench& tb, const AnalysisConfig& cfg);
 
 /// True when the XLV_REFERENCE_SIM environment variable is exactly "1":
 /// every mutant replays the full testbench from reset (no checkpoint
@@ -318,11 +320,21 @@ struct MutationCampaignContext {
   abstraction::NativeLibraryPtr nativeLib;
   /// Resolved batch size (>= 1; AnalysisConfig::batch after XLV_BATCH).
   int batch = 1;
-  /// Native-library acquisition ledger of prepare (golden recording +
-  /// injected layout), surfaced on the report.
+  /// Native-library acquisition ledger of prepare (the injected layout's
+  /// library, abstraction::getNativeLibrary's claim rule), surfaced on the
+  /// report.
   int nativeCompiles = 0;
   int nativeCacheHits = 0;
 };
+
+/// Compile-ahead: when cfg.backend resolves to Native, acquire (compile, or
+/// load from the artifact store) the native library analyzeMutations<P>
+/// would use for `injected`, without charging any ledger — the analysis that
+/// later receives it counts the compile (abstraction::getNativeLibrary's
+/// claim rule). A no-op on the interpreter. Lets a campaign run every
+/// item's compile side by side before any analysis starts.
+template <class P>
+void compileAhead(const mutation::InjectedDesign& injected, const AnalysisConfig& cfg);
 
 /// Build the shared context (golden trace + compiled injected layout).
 template <class P>
@@ -359,10 +371,14 @@ AnalysisReport analyzeMutations(const ir::Design& golden,
 // Explicit instantiations are provided for both value policies.
 extern template GoldenTrace recordGoldenTrace<hdt::FourState>(
     const ir::Design&, const std::vector<insertion::InsertedSensor>&, const Testbench&,
-    const AnalysisConfig&, abstraction::NativeUseStats*);
+    const AnalysisConfig&);
 extern template GoldenTrace recordGoldenTrace<hdt::TwoState>(
     const ir::Design&, const std::vector<insertion::InsertedSensor>&, const Testbench&,
-    const AnalysisConfig&, abstraction::NativeUseStats*);
+    const AnalysisConfig&);
+extern template void compileAhead<hdt::FourState>(const mutation::InjectedDesign&,
+                                                  const AnalysisConfig&);
+extern template void compileAhead<hdt::TwoState>(const mutation::InjectedDesign&,
+                                                 const AnalysisConfig&);
 extern template MutationCampaignContext prepareMutationCampaign<hdt::FourState>(
     const ir::Design&, const mutation::InjectedDesign&,
     const std::vector<insertion::InsertedSensor>&, const Testbench&, const AnalysisConfig&);

@@ -3,7 +3,13 @@
 // A campaign is a list of independent items — one (IP × sensor-kind ×
 // options) combination each — scheduled onto the chunked thread pool
 // (campaign/executor.h). Each item runs the composable flow stages of
-// core/flow.h end to end; results are merged in task-id order, so a
+// core/flow.h in two passes over the executor: first every stage before the
+// mutation analysis, for all items; then, after a compile-ahead that builds
+// every native library the analyses need side by side
+// (core::stageCompileAhead), the analysis of each item that has no error so
+// far. A cold native campaign thus compiles each distinct injected design
+// once, concurrently, and no analysis waits on a compiler behind another
+// item's simulation. Results are merged in task-id order, so a
 // CampaignResult is deterministic for a given spec regardless of thread
 // count. Item failures are captured per item (the rest of the campaign
 // completes), mirroring how a regression farm reports one broken seed
@@ -51,7 +57,7 @@ struct CampaignItemResult {
   std::size_t taskId = 0;
   std::string label;
   core::FlowReport report;
-  double taskSeconds = 0.0;    ///< wall time of this item on its worker
+  double taskSeconds = 0.0;    ///< wall time of this item on its worker (both passes)
   double goldenSeconds = 0.0;  ///< golden-trace time inside this item (~0 on a cache hit)
   bool goldenFromCache = false;  ///< golden trace reused from the process cache
   bool prefixShared = false;     ///< elaborate+insertion reused from the prefix cache
@@ -65,10 +71,12 @@ struct CampaignItemResult {
 struct CampaignResult {
   std::string name;
   std::vector<CampaignItemResult> items;  ///< always in task-id order
-  /// Total simulation work: per-item task time plus, for items whose inner
-  /// mutation analysis ran parallel, the analysis work beyond its wall time
-  /// — so golden-trace recording is always accounted once per recording,
-  /// and cache savings show up as a simSeconds drop against goldenSeconds.
+  /// Total simulation work: per-item task time (both passes), the elapsed
+  /// time of the native compile-ahead and, for items whose inner mutation
+  /// analysis ran parallel, the analysis work beyond its wall time — so
+  /// golden-trace recording is always accounted once per recording, compile
+  /// work stays in, and cache savings show up as a simSeconds drop against
+  /// goldenSeconds.
   double simSeconds = 0.0;
   /// Golden-trace time actually spent across items (cache hits contribute
   /// ~0; compare with items.size() × a recording to see the savings).

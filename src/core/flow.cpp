@@ -248,7 +248,9 @@ void stageTimings(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport&
 }
 
 // --- Step 4: mutation analysis (Section 7) -----------------------------------
-void stageAnalysis(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport& report) {
+namespace {
+
+analysis::AnalysisConfig analysisConfig(const FlowOptions& opts, const FlowReport& report) {
   analysis::AnalysisConfig acfg;
   acfg.hfRatio = report.hfRatio;
   acfg.sensorKind = opts.sensorKind;
@@ -259,10 +261,21 @@ void stageAnalysis(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport
   acfg.mutantEnd = opts.mutantEnd;
   acfg.backend = opts.backend;
   acfg.batch = opts.batch;
+  return acfg;
+}
+
+}  // namespace
+
+void stageCompileAhead(const FlowOptions& opts, const FlowReport& report) {
+  analysis::compileAhead<hdt::FourState>(report.injected, analysisConfig(opts, report));
+}
+
+void stageAnalysis(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport& report) {
   analysis::Testbench tb = cs.testbench;
   tb.cycles = flowCycles(cs, opts);
   report.analysis = analysis::analyzeMutations<hdt::FourState>(
-      report.augmentedDesign, report.injected, report.sensors, tb, acfg);
+      report.augmentedDesign, report.injected, report.sensors, tb,
+      analysisConfig(opts, report));
 }
 
 // --- shared stage prefixes ----------------------------------------------------

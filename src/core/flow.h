@@ -7,6 +7,8 @@
 //   stageInjection   — delay-mutant injection (step 3, Section 6);
 //   stageTimings     — the cross-level timing measurements behind
 //                      Tables 3, 4 and 5;
+//   stageCompileAhead — optional: build the native library stageAnalysis
+//                      will use (a no-op on the interpreter);
 //   stageAnalysis    — mutation analysis (step 4, Section 7).
 //
 // runFlow() chains all stages on one (IP × sensor-kind) combination —
@@ -81,8 +83,9 @@ struct FlowOptions {
   /// util::processArtifactStore() configured, warm re-runs and sharded
   /// workers — skip the per-mutant co-simulations.
   bool useMutantCache = false;
-  /// Simulation engine for the mutation campaign (golden recording and all
-  /// mutant co-simulations): Auto defers to XLV_BACKEND, Native compiles
+  /// Simulation engine for the mutation campaign's injected-design runs
+  /// (checkpoints and all mutant co-simulations; the golden recording is
+  /// always interpreted): Auto defers to XLV_BACKEND, Native compiles
   /// the injected model into a shared library (interpreter fallback when no
   /// system compiler is available). Results are bit-identical either way.
   analysis::SimBackend backend = analysis::SimBackend::Auto;
@@ -203,6 +206,11 @@ void stageInsertion(const ips::CaseStudy& cs, const FlowOptions& opts, FlowRepor
 void stageAbstraction(FlowReport& report);
 void stageInjection(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport& report);
 void stageTimings(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport& report);
+/// Acquire the native library stageAnalysis will use for this report's
+/// injected design, charging no ledger (analysis::compileAhead). A no-op when
+/// the backend resolves to the interpreter. The campaign layer runs it for
+/// every native item side by side before any analysis.
+void stageCompileAhead(const FlowOptions& opts, const FlowReport& report);
 void stageAnalysis(const ips::CaseStudy& cs, const FlowOptions& opts, FlowReport& report);
 
 /// Execute the full flow on one case study (all stages, in order).

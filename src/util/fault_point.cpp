@@ -38,8 +38,12 @@ Registry& registry() {
   return r;
 }
 
-// Armed flag outside the mutex so an unarmed faultPoint() is one atomic load.
+// Armed and parsed flags outside the mutex, so an unarmed faultPoint() after
+// a good parse takes no lock. gParsed is stored (release) only after a parse
+// that did not throw: a malformed spec keeps it false and throws again on
+// the next call.
 std::atomic<bool> gArmed{false};
+std::atomic<bool> gParsed{false};
 
 const char* const kKnownPoints[] = {"store.write", "frame.write", "worker.spawn",
                                     "server.accept", "worker.die", "worker.exit",
@@ -164,6 +168,7 @@ Clause parseClause(std::string_view text) {
 void parseLocked(Registry& r) {
   r.clauses.clear();
   r.parsed = false;
+  gParsed.store(false, std::memory_order_relaxed);
   gArmed.store(false, std::memory_order_relaxed);
   const char* env = std::getenv("XLV_FAULTS");
   if (env != nullptr && *env != '\0') {
@@ -176,6 +181,7 @@ void parseLocked(Registry& r) {
   }
   r.parsed = true;
   gArmed.store(!r.clauses.empty(), std::memory_order_relaxed);
+  gParsed.store(true, std::memory_order_release);
 }
 
 void ensureParsed() {
@@ -201,7 +207,8 @@ bool faultPointsArmed() {
 
 FaultAction faultPoint(std::string_view point, const FaultScope& scope) {
   if (!gArmed.load(std::memory_order_relaxed)) {
-    ensureParsed();
+    // Parsed and disarmed: the lock-free fast path of every unarmed draw.
+    if (!gParsed.load(std::memory_order_acquire)) ensureParsed();
     if (!gArmed.load(std::memory_order_relaxed)) return FaultAction::None;
   }
   std::uint64_t sleepMs = 0;

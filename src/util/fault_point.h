@@ -26,10 +26,10 @@
 //           XLV_FAULTS="worker.die:fail:worker=0"  (slot 0 crashes, respawn recovers)
 //           XLV_FAULTS="worker.die:fail:item=0:mutant=1"  (poison unit → quarantine)
 //
-// When XLV_FAULTS is unset the registry is inert: faultPoint() is a single
-// relaxed atomic load returning None. Fault draws are deterministic per
-// clause (util::Prng seeded by seed=), and thread-safe (worker heartbeat
-// threads share the frame.write point with the main loop).
+// When XLV_FAULTS is unset the registry is inert: once parsed, faultPoint()
+// is two atomic loads returning None, with no lock. Fault draws are
+// deterministic per clause (util::Prng seeded by seed=), and thread-safe
+// (worker heartbeat threads share the frame.write point with the main loop).
 #pragma once
 
 #include <cstdint>

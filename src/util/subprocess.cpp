@@ -15,8 +15,12 @@ SubprocessResult runCommandCapture(const std::vector<std::string>& argv) {
   SubprocessResult res;
   if (argv.empty()) return res;
 
+  // O_CLOEXEC on every pipe end: a child forked by a concurrent call on
+  // another thread must not inherit this call's write end, or this read
+  // sees no EOF until that sibling's process tree exits. dup2 onto stdio
+  // clears the flag, so the child's own stdio survives its exec.
   int pipefd[2];
-  if (pipe(pipefd) != 0) return res;
+  if (pipe2(pipefd, O_CLOEXEC) != 0) return res;
 
   const pid_t pid = fork();
   if (pid < 0) {
@@ -117,9 +121,11 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   Subprocess p;
   if (argv.empty()) return p;
 
+  // Close-on-exec for the same reason as runCommandCapture: no concurrently
+  // spawned sibling may hold this worker's pipe ends.
   int inPipe[2], outPipe[2];  // parent -> child stdin, child stdout -> parent
-  if (pipe(inPipe) != 0) return p;
-  if (pipe(outPipe) != 0) {
+  if (pipe2(inPipe, O_CLOEXEC) != 0) return p;
+  if (pipe2(outPipe, O_CLOEXEC) != 0) {
     close(inPipe[0]);
     close(inPipe[1]);
     return p;

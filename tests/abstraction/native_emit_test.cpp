@@ -13,7 +13,8 @@
 //   * mutant phases — activating min/max/delta mutants produces the same
 //     sensor observations on both engines;
 //   * caching — a second getNativeLibrary call for the same layout is a
-//     cache hit, not a recompile.
+//     cache hit, not a recompile, and a compile-ahead acquisition leaves the
+//     compile for the first ledger-keeping caller to count.
 //
 // Every test skips (visibly) when no system C++ compiler is present; the
 // interpreter remains the reference in that configuration.
@@ -272,6 +273,27 @@ TEST(NativeEmit, SecondLookupIsACacheHit) {
   EXPECT_EQ(1, first.compiles + first.cacheHits);
   EXPECT_EQ(0, second.compiles);
   EXPECT_EQ(1, second.cacheHits);
+}
+
+TEST(NativeEmit, CompileAheadThenAnalysisCountsExactlyOneCompile) {
+  XLV_REQUIRE_TOOLCHAIN();
+  const auto layout = buildTlmModelLayout(stressDesign(), TlmModelConfig{0, false});
+  clearNativeLibraryCache();
+  // The compile-ahead acquisition (null stats) builds and counts nothing;
+  // the first ledger-keeping acquisition claims the build as its compile
+  // (no artifact store here, so the object was compiled in this process).
+  const NativeLibraryPtr ahead = getNativeLibrary(*layout, true);
+  ASSERT_NE(nullptr, ahead);
+  EXPECT_TRUE(ahead->compiledHere);
+  NativeUseStats analysis, later;
+  const NativeLibraryPtr used = getNativeLibrary(*layout, true, &analysis);
+  EXPECT_EQ(ahead.get(), used.get());
+  EXPECT_EQ(1, analysis.compiles);
+  EXPECT_EQ(0, analysis.cacheHits);
+  getNativeLibrary(*layout, true, &later);
+  EXPECT_EQ(0, later.compiles);
+  EXPECT_EQ(1, later.cacheHits);
+  clearNativeLibraryCache();
 }
 
 TEST(NativeEmit, EmittedSourceIsDeterministic) {

@@ -193,6 +193,30 @@ TEST(DispatchFault, FaultOnALaterWorkerSlotRecoversToo) {
   EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
 }
 
+TEST(DispatchFault, RespawnedGenerationOfTheOnlyWorkerFinishesTheCampaign) {
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  // One worker slot, killed on its first unit: no other slot can finish the
+  // campaign, so this passes only if the fault stays with generation 0 and
+  // the respawned generation does all the work.
+  env.set("worker.die:fail:worker=0");
+  const CampaignSpec spec = builtinCampaignSpec("single");
+  ServeOptions opt = daemonOptions();
+  opt.workers = 1;
+  const PoolRunResult out = runCampaignOnPool(spec, opt);
+  const CampaignLedgerEntry& entry = campaignEntry(out);
+
+  ASSERT_TRUE(out.outcome.error.empty()) << out.outcome.error;
+  ASSERT_FALSE(entry.requeuedShards.empty());
+  EXPECT_EQ(entry.requeuedShards.front().generation, 0u);
+  EXPECT_EQ(out.ledger.workerRespawns, 1u);
+  EXPECT_EQ(entry.unitsCompleted, entry.unitsTotal);
+  EXPECT_TRUE(out.outcome.quarantined.empty());
+  EXPECT_TRUE(entry.quarantined.empty());
+  EXPECT_EQ(campaignExitCode(out.outcome.result), 0);
+  EXPECT_TRUE(referenceResult().sameResults(out.outcome.result));
+}
+
 TEST(DispatchFault, RunQuarantinesPoisonUnit) {
   XLV_REQUIRE_DAEMON();
   FaultEnv env;

@@ -4,7 +4,10 @@
 // across process-level shards, with a warm artifact store, for stateful
 // (makeDriver) testbenches, and under XLV_REFERENCE_SIM=1 full replay.
 // Mutant batching (FlowOptions::batch = K) is the second axis: any K must
-// reproduce the K=1 results exactly, on either engine.
+// reproduce the K=1 results exactly, on either engine. The compile ledger is
+// the third: a cold native campaign compiles each distinct injected design
+// exactly once (the golden trace is always interpreted), and the analysis
+// that uses a library counts it, whoever built it.
 //
 // Every test is gated on a system C++ compiler being present; without one
 // the native path deliberately falls back to the interpreter, which would
@@ -20,6 +23,7 @@
 #include "abstraction/native_backend.h"
 #include "campaign/serialize.h"
 #include "campaign/shard.h"
+#include "campaign/sweep.h"
 #include "core/flow.h"
 #include "ips/case_study.h"
 #include "util/artifact_store.h"
@@ -141,9 +145,10 @@ TEST(NativeConformance, WarmStoreServesNativeResultsAndStaysIdentical) {
   EXPECT_TRUE(interp.sameResults(cold));
   EXPECT_TRUE(interp.sameResults(warm));
   // The warm pass reloads every mutant verdict from the store, so no
-  // simulation runs — and the native engine is never even invoked (the
-  // compiled .so itself is also store-cached, but nothing asks for it).
+  // simulation runs: the native library is loaded from the store, never
+  // compiled, and never stepped.
   EXPECT_GT(warm.mutantCacheHits, 0);
+  EXPECT_EQ(0, warm.nativeCompiles);
   EXPECT_EQ(0u, warm.cyclesSimulated);
   EXPECT_EQ(0u, warm.cyclesSkipped);
 }
@@ -176,6 +181,86 @@ TEST(NativeConformance, StatefulTestbenchDriverMatchesInterpreter) {
     EXPECT_GT(native.analysis.nativeCompiles + native.analysis.nativeCacheHits, 0);
   }
   freshProcess();
+}
+
+/// Run `spec` against a fresh artifact store in a private temp directory
+/// with cleared process caches: the cold path of `xlv_campaign run
+/// --cache-dir`.
+CampaignResult runColdStore(const CampaignSpec& spec, const std::string& tag) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xlv-nativeconf-" + tag + "-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  util::configureProcessArtifactStore(util::ArtifactStoreConfig{dir.string(), 0});
+  const CampaignResult r = runCold(spec);
+  util::configureProcessArtifactStore(std::nullopt);
+  freshProcess();
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  return r;
+}
+
+TEST(NativeConformance, ColdSingleCompilesOnlyTheInjectedDesign) {
+  REQUIRE_NATIVE_TOOLCHAIN();
+  CampaignSpec spec = builtinCampaignSpec("single");
+  for (auto& item : spec.items) item.options.backend = analysis::SimBackend::Native;
+  const CampaignResult r = runColdStore(spec, "single");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(1, r.nativeCompiles) << "golden design compiled, or a compile went uncounted";
+  EXPECT_EQ(0, r.nativeCacheHits);
+}
+
+TEST(NativeConformance, HandshakeMatrixCompilesEachDistinctDesignOnce) {
+  REQUIRE_NATIVE_TOOLCHAIN();
+  // The paper matrix's Handshake items: 2 sensor kinds x 2 STA corners, run
+  // one after another. The corners leave the injected design unchanged, so
+  // the 4 analyses share 2 libraries: 2 compiles, and 2 hits for the
+  // analyses that receive a library another analysis already claimed.
+  SweepSpec sweep;
+  sweep.name = "handshake-matrix";
+  sweep.cases = {ips::buildHandshakeCase()};
+  sweep.base.testbenchCycles = 400;
+  sweep.base.measureRtl = false;
+  sweep.base.measureTlm = false;
+  sweep.base.measureOptimized = false;
+  sweep.base.backend = analysis::SimBackend::Native;
+  sweep.axes.sensorKinds = {insertion::SensorKind::Razor, insertion::SensorKind::Counter};
+  sweep.axes.corners = {sta::Corner::typical(), sta::Corner::slow()};
+  sweep.executor.threads = 1;
+  const CampaignSpec spec = expandSweep(sweep);
+  ASSERT_EQ(4u, spec.items.size());
+
+  const CampaignResult native = runColdStore(spec, "handshake");
+  ASSERT_TRUE(native.ok());
+  EXPECT_EQ(2, native.nativeCompiles);
+  EXPECT_EQ(2, native.nativeCacheHits);
+
+  CampaignSpec interpSpec = spec;
+  for (auto& item : interpSpec.items) item.options.backend = analysis::SimBackend::Interpreter;
+  const CampaignResult interp = runColdStore(interpSpec, "handshake-interp");
+  ASSERT_TRUE(interp.ok());
+  EXPECT_TRUE(interp.sameResults(native));
+}
+
+TEST(NativeConformance, FailingPresetReportsTheSameItemErrorsOnBothEngines) {
+  // Items that fail in the first pass keep exactly the interpreter's error
+  // through the two-pass native run, and the healthy ones still run
+  // natively beside them.
+  REQUIRE_NATIVE_TOOLCHAIN();
+  auto spec = [](analysis::SimBackend backend) {
+    CampaignSpec s = builtinCampaignSpec("failing");
+    for (auto& item : s.items) item.options.backend = backend;
+    return s;
+  };
+  const CampaignResult interp = runCold(spec(analysis::SimBackend::Interpreter));
+  const CampaignResult native = runCold(spec(analysis::SimBackend::Native));
+  freshProcess();
+  ASSERT_FALSE(interp.ok());
+  ASSERT_EQ(interp.items.size(), native.items.size());
+  for (std::size_t i = 0; i < interp.items.size(); ++i) {
+    EXPECT_EQ(interp.items[i].error, native.items[i].error) << interp.items[i].label;
+  }
+  EXPECT_TRUE(interp.sameResults(native));
+  expectNativeWork(native);
 }
 
 TEST(NativeConformance, BatchSizesReproduceUnbatchedResults) {

@@ -127,5 +127,18 @@ TEST(FaultPoint, MalformedSpecsThrowInsteadOfRunningClean) {
   EXPECT_FALSE(faultPointsArmed());
 }
 
+TEST(FaultPoint, DrawAfterAFailedParseThrowsInsteadOfTakingTheUnarmedFastPath) {
+  // An unarmed draw skips the registry lock only after a GOOD parse; a
+  // malformed spec leaves the registry unparsed, so every later draw parses
+  // (and throws) again.
+  ::setenv("XLV_FAULTS", "store.write:explode", 1);
+  EXPECT_THROW(reloadFaultPointsFromEnv(), FaultConfigError);
+  EXPECT_THROW(faultPoint("store.write"), FaultConfigError);
+  EXPECT_THROW(faultPoint("frame.write"), FaultConfigError);
+  ::unsetenv("XLV_FAULTS");
+  EXPECT_EQ(faultPoint("store.write"), FaultAction::None);
+  EXPECT_FALSE(faultPointsArmed());
+}
+
 }  // namespace
 }  // namespace xlv::util

@@ -1,8 +1,18 @@
-// Utility layer: PRNG determinism, statistics accumulators, table renderer.
+// Utility layer: PRNG determinism, statistics accumulators, table renderer,
+// subprocess pipe hygiene.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <csignal>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "util/prng.h"
 #include "util/stats.h"
+#include "util/subprocess.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -120,6 +130,64 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_GE(t.millis(), s * 1e3);
   t.reset();
   EXPECT_LT(t.seconds(), s + 1.0);
+}
+
+// A child forked by one call must not inherit another call's pipe ends: a
+// leaked write end holds back the reader's EOF until the child that holds it
+// exits. Three slow calls start, 1 ms apart, while three threads run fast
+// calls back to back, so some slow fork is likely to land inside a fast
+// call's pipe-to-fork window; every fast call must return long before the
+// slow ones end. Margins are wide (slow = 2 s, fast < 1 s) so the check holds
+// under sanitizers.
+TEST(Subprocess, ConcurrentCapturesDoNotHoldEachOthersOutputOpen) {
+  constexpr int kSlow = 3;
+  constexpr int kFast = 3;
+  std::latch start(kSlow + kFast);
+  std::atomic<int> slowStarted{0};
+  std::atomic<int> fastFailures{0};
+  std::vector<double> worstFast(kFast, 0.0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kSlow; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      std::this_thread::sleep_for(std::chrono::milliseconds(i));
+      slowStarted.fetch_add(1);
+      runCommandCapture({"sleep", "2"});
+    });
+  }
+  for (int f = 0; f < kFast; ++f) {
+    threads.emplace_back([&, f] {
+      start.arrive_and_wait();
+      // Keep going until every slow call has forked, plus a few more.
+      for (int extra = 0; extra < 10;) {
+        if (slowStarted.load() == kSlow) ++extra;
+        Timer t;
+        const SubprocessResult fast = runCommandCapture({"echo", "fast"});
+        worstFast[f] = std::max(worstFast[f], t.seconds());
+        if (!fast.ok() || fast.output != "fast\n") fastFailures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(0, fastFailures.load());
+  for (int f = 0; f < kFast; ++f) {
+    EXPECT_LT(worstFast[f], 1.0) << "a sibling child kept a fast command's pipe open";
+  }
+}
+
+TEST(Subprocess, SpawnedChildDoesNotInheritAnEarlierChildsStdin) {
+  // Deterministic form of the same leak: `cat` exits on stdin EOF, which a
+  // later sibling holding cat's stdin write end would withhold for 2 s.
+  Subprocess cat = Subprocess::spawn({"cat"});
+  ASSERT_TRUE(cat.started());
+  Subprocess sleeper = Subprocess::spawn({"sleep", "2"});
+  ASSERT_TRUE(sleeper.started());
+  Timer t;
+  cat.closeStdin();
+  EXPECT_EQ(0, cat.wait());
+  EXPECT_LT(t.seconds(), 1.0) << "the sibling inherited cat's stdin pipe";
+  sleeper.kill(SIGKILL);
+  sleeper.wait();
 }
 
 }  // namespace
