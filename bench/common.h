@@ -5,11 +5,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ips/case_study.h"
+#include "util/file.h"
 
 namespace xlv::bench {
 
@@ -51,19 +53,20 @@ inline void writeBenchJson(const std::string& benchName,
   const char* env = std::getenv("XLV_BENCH_JSON");
   const std::string path =
       (env != nullptr && *env != '\0') ? env : "BENCH_" + benchName + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"metrics\": {\n", benchName.c_str());
+  std::string json = "{\n  \"bench\": \"" + benchName + "\",\n  \"metrics\": {\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", metrics[i].first.c_str(), metrics[i].second,
-                 i + 1 < metrics.size() ? "," : "");
+    char value[32];
+    std::snprintf(value, sizeof value, "%.17g", metrics[i].second);
+    json += "    \"" + metrics[i].first + "\": " + value +
+            (i + 1 < metrics.size() ? ",\n" : "\n");
   }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("bench json: %s\n", path.c_str());
+  json += "  }\n}\n";
+  try {
+    util::publishFile(path, json);
+    std::printf("bench json: %s\n", path.c_str());
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
+  }
 }
 
 }  // namespace xlv::bench

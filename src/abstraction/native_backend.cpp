@@ -7,12 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/artifact_store.h"
+#include "util/file.h"
 #include "util/fnv.h"
 #include "util/log.h"
 #include "util/once_cache.h"
@@ -62,22 +62,6 @@ std::string tempPath(const char* suffix) {
   return os.str();
 }
 
-bool writeFile(const std::string& path, std::string_view bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(f);
-}
-
-bool readFile(const std::string& path, std::string& out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream os;
-  os << f.rdbuf();
-  out = os.str();
-  return true;
-}
-
 /// dlopen `bytes` (materialized to a temp file, unlinked immediately — the
 /// mapping survives, POSIX semantics) and resolve+verify the xlvn_* ABI.
 /// Returns null with a reason on any mismatch.
@@ -97,8 +81,10 @@ class NativeLibraryBuilder {
                                              const std::string& identity,
                                              std::size_t expectWords, std::string* why) {
     const std::string path = tempPath(".so");
-    if (!writeFile(path, bytes)) {
-      if (why != nullptr) *why = "cannot write temp .so at " + path;
+    try {
+      util::publishFile(path, bytes);
+    } catch (const std::runtime_error& e) {
+      if (why != nullptr) *why = e.what();
       return nullptr;
     }
     void* handle = dlopen(path.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -223,9 +209,10 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
         const std::string source = emitNativeCpp(layout, fourState, identity);
         const std::string srcPath = tempPath(".cpp");
         const std::string objPath = tempPath(".so");
-        if (!writeFile(srcPath, source)) {
-          XLV_WARN("native") << "cannot write temp source at " << srcPath
-                             << "; falling back to the interpreter";
+        try {
+          util::publishFile(srcPath, source);
+        } catch (const std::runtime_error& e) {
+          XLV_WARN("native") << e.what() << "; falling back to the interpreter";
           return nullptr;
         }
         std::vector<std::string> cmd{tc.cc};
@@ -245,17 +232,16 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
                              << cc.output.substr(0, 512);
           return nullptr;
         }
-        std::string bytes;
-        const bool haveBytes = readFile(objPath, bytes);
+        const std::optional<std::string> bytes = util::tryReadFile(objPath);
         unlink(objPath.c_str());
-        if (!haveBytes) {
+        if (!bytes) {
           XLV_WARN("native") << "cannot read compiled object for '"
                              << layout.design.name
                              << "'; falling back to the interpreter";
           return nullptr;
         }
         std::string why;
-        auto lib = openLibrary(bytes, identity, expectWords, &why);
+        auto lib = openLibrary(*bytes, identity, expectWords, &why);
         if (lib == nullptr) {
           XLV_WARN("native") << "freshly compiled object for '" << layout.design.name
                              << "' unusable (" << why
@@ -263,7 +249,7 @@ NativeLibraryPtr getNativeLibrary(const TlmModelLayout& layout, bool fourState,
           return nullptr;
         }
         lib->compiledHere = true;
-        if (store != nullptr) store->store("native", identity, bytes);
+        if (store != nullptr) store->store("native", identity, *bytes);
         return lib;
       });
 

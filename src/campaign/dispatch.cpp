@@ -9,8 +9,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -20,6 +18,7 @@
 #include "util/codec.h"
 #include "util/env.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/log.h"
 
 namespace xlv::campaign {
@@ -374,12 +373,7 @@ int runDispatchWorker(const DispatchWorkerOptions& opt) {
         return !fs::exists(entry.first, ec);
       });
       try {
-        std::ifstream in(submit.specPath, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        if (!in && bytes.empty()) {
-          throw std::runtime_error("cannot read " + submit.specPath);
-        }
+        const std::string bytes = util::readFile(submit.specPath);
         it = specCache.emplace(submit.specPath, decodeCampaignSpec(bytes)).first;
       } catch (const std::exception& e) {
         XLV_ERROR("campaignd") << "worker " << index

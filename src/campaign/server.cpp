@@ -1,6 +1,7 @@
 #include "campaign/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
@@ -15,7 +16,6 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <thread>
@@ -23,6 +23,7 @@
 #include "campaign/serialize.h"
 #include "util/codec.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/log.h"
 #include "util/prng.h"
 #include "util/subprocess.h"
@@ -60,7 +61,7 @@ int connectToServer(const std::string& socketPath, int tcpPort, std::string& err
       return -1;
     }
     std::strncpy(addr.sun_path, socketPath.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0 ||
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       error = "cannot connect to " + socketPath + ": " + std::strerror(errno);
@@ -74,7 +75,7 @@ int connectToServer(const std::string& socketPath, int tcpPort, std::string& err
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(tcpPort));
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0 ||
         ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
       error = "cannot connect to 127.0.0.1:" + std::to_string(tcpPort) + ": " +
@@ -232,7 +233,7 @@ void Server::listen() {
       throw std::invalid_argument("serve: socket path too long: " + opt_.socketPath);
     }
     std::strncpy(addr.sun_path, opt_.socketPath.c_str(), sizeof(addr.sun_path) - 1);
-    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw DispatchError(std::string("socket failed: ") + std::strerror(errno));
     }
@@ -240,7 +241,7 @@ void Server::listen() {
     // owns this path, and stealing it would strand that server (still
     // running, no longer reachable) while its clients silently land here.
     // Any connect failure — ENOENT, ECONNREFUSED — means the path is stale.
-    if (const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0); probe >= 0) {
+    if (const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0); probe >= 0) {
       const bool alive =
           ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
       ::close(probe);
@@ -261,7 +262,7 @@ void Server::listen() {
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(opt_.tcpPort));
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, never 0.0.0.0
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw DispatchError(std::string("socket failed: ") + std::strerror(errno));
     }
@@ -362,7 +363,7 @@ void Server::submitUnit(std::size_t wi, Campaign& c) {
 
 void Server::acceptClients() {
   for (;;) {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
+    const int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: drained the backlog
@@ -478,13 +479,12 @@ void Server::admit(ClientConn& conn, const ClientSubmitFrame& f) {
   const fs::path specPath =
       specDir_ / ("xlv-campaignd-serve-" + std::to_string(::getpid()) + "-" +
                   std::to_string(id) + ".xlv");
-  {
-    std::ofstream out(specPath, std::ios::binary | std::ios::trunc);
-    out << encodeCampaignSpec(spec);  // canonical bytes: fnv-checkable by workers
-    if (!out) {
-      reject(conn, "server cannot stage the spec handoff file", opt_.rejectRetryAfterMs);
-      return;
-    }
+  try {
+    // Canonical bytes: fnv-checkable by workers.
+    util::publishFile(specPath.string(), encodeCampaignSpec(spec));
+  } catch (const std::runtime_error&) {
+    reject(conn, "server cannot stage the spec handoff file", opt_.rejectRetryAfterMs);
+    return;
   }
 
   Campaign c;
@@ -1079,7 +1079,7 @@ ServeResult Server::run() {
 
   if (opt_.enableSignalDrain) {
     int p[2];
-    if (::pipe(p) != 0) {
+    if (::pipe2(p, O_CLOEXEC) != 0) {
       throw DispatchError(std::string("drain pipe failed: ") + std::strerror(errno));
     }
     drainReadFd_ = p[0];

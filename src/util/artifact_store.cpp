@@ -1,18 +1,15 @@
 #include "util/artifact_store.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/fnv.h"
 #include "util/log.h"
 
@@ -41,15 +38,6 @@ std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
   return buf;
-}
-
-std::optional<std::string> readWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (!in && !in.eof()) return std::nullopt;
-  return ss.str();
 }
 
 }  // namespace
@@ -84,7 +72,7 @@ std::optional<std::string> ArtifactStore::load(std::string_view domain,
   // sees a whole entry or none, so the lock only needs to cover the
   // stats/census metadata — concurrent executor tasks must not serialize
   // their disk reads behind one another.
-  std::optional<std::string> raw = readWholeFile(path);
+  std::optional<std::string> raw = tryReadFile(path);
   if (!raw) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.misses;
@@ -146,21 +134,6 @@ void ArtifactStore::store(std::string_view domain, const std::string& key,
   std::string entry = e.take();
   if (fault == FaultAction::Short) entry.resize(entry.size() / 2);
 
-  // Unique temp name per (process, write): the pid keeps concurrent shard
-  // processes sharing one cache dir from colliding, the atomic sequence
-  // keeps this process's threads apart, and rename() publishes atomically
-  // — a reader sees the old entry, the new entry, or none, never a torn
-  // one. Like load(), the write itself runs without the mutex.
-  const std::string temp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "-" +
-      std::to_string(static_cast<unsigned long long>(tempSeq_.fetch_add(1) + 1));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(entry.data(), static_cast<std::streamsize>(entry.size()))) {
-      fs::remove(temp, ec);
-      return;
-    }
-  }
   // A replaced entry's size leaves the census. file_size can fail even
   // after exists() (another process's eviction racing us); an errored size
   // must read as 0, not as uintmax_t(-1) collapsing the running total.
@@ -169,9 +142,10 @@ void ArtifactStore::store(std::string_view domain, const std::string& key,
     const std::uintmax_t sz = fs::file_size(path, ec);
     if (!ec) replacedBytes = static_cast<std::uint64_t>(sz);
   }
-  fs::rename(temp, path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
+  // Like load(), the write itself runs without the mutex.
+  try {
+    publishFile(path, entry);
+  } catch (const std::runtime_error&) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);

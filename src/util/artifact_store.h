@@ -11,9 +11,12 @@
 // recomputing.
 //
 // Durability rules, in order of importance:
-//   * never a torn read — entries are written to a temp file and atomically
-//     rename()d into place, so a concurrent reader sees the whole entry or
-//     no entry;
+//   * never a torn read — entries are published by util::publishFile
+//     (temp file, unlink, rename), so a concurrent reader sees the old
+//     entry, no entry or the new entry. A load that lands between the
+//     unlink and the rename is a plain miss and rebuilds the same bytes.
+//     Nothing is fsynced: a power loss can leave a recent entry missing or
+//     short, and the fingerprint check below drops a short one;
 //   * never a wrong result — every entry embeds its full key (hash-collision
 //     check) and the FNV-1a fingerprint of its payload; a mismatch, a
 //     truncated file or any DecodeError counts the entry corrupt, drops it
@@ -24,7 +27,6 @@
 //     the loser sees a plain miss and rebuilds, results never change.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,7 +78,7 @@ class ArtifactStore {
   /// deleted and reported as misses. A hit refreshes the entry's recency.
   std::optional<std::string> load(std::string_view domain, const std::string& key);
 
-  /// Persist `payload` under (domain, key) (atomic temp-file + rename),
+  /// Persist `payload` under (domain, key) (util::publishFile),
   /// then enforce the byte cap. Filesystem failures are swallowed — a store
   /// is an optimization; the caller already holds the value.
   void store(std::string_view domain, const std::string& key, std::string_view payload);
@@ -113,10 +115,9 @@ class ArtifactStore {
   ArtifactStoreConfig cfg_;
   /// Guards the metadata (stats_, approxBytes_) and eviction — NOT the
   /// entry file I/O, which is already process- and thread-safe through
-  /// atomic rename publication (parallel tasks stream reads concurrently).
+  /// publishFile (parallel tasks stream reads concurrently).
   mutable std::mutex mutex_;
   ArtifactStoreStats stats_;
-  std::atomic<std::uint64_t> tempSeq_{0};
   /// Running byte census (store/remove-adjusted, rescans resync it), so the
   /// capped store does not stat the whole directory on every write.
   std::uint64_t approxBytes_ = 0;

@@ -200,11 +200,6 @@ void reloadFaultPointsFromEnv() {
   parseLocked(r);
 }
 
-bool faultPointsArmed() {
-  ensureParsed();
-  return gArmed.load(std::memory_order_relaxed);
-}
-
 FaultAction faultPoint(std::string_view point, const FaultScope& scope) {
   if (!gArmed.load(std::memory_order_relaxed)) {
     // Parsed and disarmed: the lock-free fast path of every unarmed draw.
@@ -233,17 +228,6 @@ FaultAction faultPoint(std::string_view point, const FaultScope& scope) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleepMs));
   }
   return result;
-}
-
-std::uint64_t faultPointFireCount(std::string_view point) {
-  ensureParsed();
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::uint64_t total = 0;
-  for (const Clause& c : r.clauses) {
-    if (c.point == point) total += c.fired;
-  }
-  return total;
 }
 
 }  // namespace xlv::util

@@ -59,9 +59,6 @@ void initFaultPointsFromEnv();
 /// Test hook: drop the armed state and re-read XLV_FAULTS.
 void reloadFaultPointsFromEnv();
 
-/// True when at least one clause is armed.
-bool faultPointsArmed();
-
 /// A worker.die|exit|hang draw's slot, generation and unit (item, mutant
 /// range [mutantBegin, mutantEnd)); other points draw with the default.
 struct FaultScope {
@@ -75,8 +72,5 @@ struct FaultScope {
 /// Draw the named point. Performs any armed delay internally, then returns
 /// the first Fail/Short clause (in spec order) in scope whose p= fires.
 FaultAction faultPoint(std::string_view point, const FaultScope& scope = {});
-
-/// How many times any clause on the named point has fired (delays included).
-std::uint64_t faultPointFireCount(std::string_view point);
 
 }  // namespace xlv::util

@@ -116,8 +116,7 @@ Subprocess::~Subprocess() {
   closeFds();
 }
 
-Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
-                             const SubprocessEnv& extraEnv) {
+Subprocess Subprocess::spawn(const std::vector<std::string>& argv) {
   Subprocess p;
   if (argv.empty()) return p;
 
@@ -148,9 +147,6 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     close(inPipe[1]);
     close(outPipe[0]);
     close(outPipe[1]);
-    for (const auto& [name, value] : extraEnv) {
-      setenv(name.c_str(), value.c_str(), 1);
-    }
     std::vector<char*> args;
     args.reserve(argv.size() + 1);
     for (const std::string& a : argv) args.push_back(const_cast<char*>(a.c_str()));

@@ -43,11 +43,6 @@ SubprocessResult runCommandCapture(const std::vector<std::string>& argv);
 /// when fcntl fails (bad fd).
 bool setNonBlocking(int fd) noexcept;
 
-/// Extra environment entries set in the child after fork (inheriting the
-/// parent environment otherwise), e.g. an XLV_FAULTS spec scoped to one
-/// child so the spawning process itself stays unarmed.
-using SubprocessEnv = std::vector<std::pair<std::string, std::string>>;
-
 /// Asynchronous child process with piped stdin/stdout (stderr is inherited
 /// so worker diagnostics land on the parent's stderr). Move-only; the
 /// destructor SIGKILLs and reaps a still-running child.
@@ -63,8 +58,7 @@ class Subprocess {
   /// Fork/execvp `argv` (argv[0] resolved through PATH) with pipes on the
   /// child's stdin and stdout. Never throws; on failure the returned handle
   /// reports started() == false.
-  static Subprocess spawn(const std::vector<std::string>& argv,
-                          const SubprocessEnv& extraEnv = {});
+  static Subprocess spawn(const std::vector<std::string>& argv);
 
   bool started() const noexcept { return pid_ > 0; }
   pid_t pid() const noexcept { return pid_; }

@@ -17,8 +17,6 @@
 
 #include <csignal>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "campaign/shard.h"
 #include "core/flow.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/subprocess.h"
 
 #ifdef XLV_CAMPAIGND_BIN
@@ -35,7 +34,7 @@ namespace xlv::campaign {
 namespace {
 
 /// Keeps XLV_FAULTS out of the TEST process env and its registry, so only
-/// the daemon's extraEnv decides what faults fly.
+/// the daemon's own XLV_FAULTS decides what faults fly.
 struct CleanEnv {
   CleanEnv() { clear(); }
   ~CleanEnv() { clear(); }
@@ -45,15 +44,15 @@ struct CleanEnv {
   }
 };
 
-/// The real daemon as a child process: spawn `xlv_campaignd serve` with a
-/// chaos env, wait for the listener, SIGTERM it to drain, and read back the
-/// ledger JSON it wrote on exit.
+/// The real daemon as a child process: spawn `xlv_campaignd serve` through
+/// `env XLV_FAULTS=<faults>` (empty = no faults), wait for the listener,
+/// SIGTERM it to drain, and read back the ledger JSON it wrote on exit.
 struct Daemon {
   util::Subprocess proc;
   std::string sock;
   std::string ledgerFile;
 
-  explicit Daemon(const util::SubprocessEnv& extraEnv, int workers = 2) {
+  Daemon(const std::string& faults, int workers) {
     static int counter = 0;
     const std::string id =
         std::to_string(::getpid()) + "-" + std::to_string(counter++);
@@ -62,11 +61,10 @@ struct Daemon {
     ::unlink(sock.c_str());
     ::unlink(ledgerFile.c_str());
     proc = util::Subprocess::spawn(
-        {XLV_CAMPAIGND_BIN, "serve", "--socket", sock, "--workers",
+        {"env", "XLV_FAULTS=" + faults, XLV_CAMPAIGND_BIN, "serve", "--socket", sock, "--workers",
          std::to_string(workers), "--max-fragment", "2", "--heartbeat-ms", "50",
          "--heartbeat-timeout-ms", "5000", "--max-attempts", "3",
-         "--max-respawns", "50", "--ledger", ledgerFile},
-        extraEnv);
+         "--max-respawns", "50", "--ledger", ledgerFile});
   }
 
   ~Daemon() {
@@ -92,12 +90,7 @@ struct Daemon {
     return proc.wait();
   }
 
-  std::string ledgerJson() const {
-    std::ifstream in(ledgerFile);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-  }
+  std::string ledgerJson() const { return util::tryReadFile(ledgerFile).value_or(""); }
 
   SubmitOptions clientOptions(const std::string& name) const {
     SubmitOptions o;
@@ -171,12 +164,12 @@ TEST(CampaignChaos, FaultStormNeverKillsTheServerAndSurvivorsStayBitIdentical) {
   // every frame write on either side can come up short, and the artifact
   // store drops a fifth of its writes (degrading to recomputation).
   // Deterministic seeds keep the schedule reproducible.
-  Daemon daemon({{"XLV_FAULTS",
-                  "worker.spawn:fail:times=1,"
-                  "worker.die:fail:worker=1,"
-                  "frame.write:short:p=0.01:seed=3,"
-                  "store.write:fail:p=0.2:seed=4"}},
-                3);
+  Daemon daemon(
+      "worker.spawn:fail:times=1,"
+      "worker.die:fail:worker=1,"
+      "frame.write:short:p=0.01:seed=3,"
+      "store.write:fail:p=0.2:seed=4",
+      3);
   ASSERT_TRUE(daemon.waitListening()) << "daemon died on startup";
 
   core::clearProcessCaches();
@@ -211,7 +204,7 @@ TEST(CampaignChaos, MalformedWorkerClauseStopsTheDaemonBeforeAnyUnitRuns) {
   // daemon never listens, so no worker can run a unit with the fault
   // silently dropped. The daemon inherits the captured stderr.
   testing::internal::CaptureStderr();
-  Daemon daemon({{"XLV_FAULTS", "worker.die:fail:worker=abc"}}, 2);
+  Daemon daemon("worker.die:fail:worker=abc", 2);
   const int rc = daemon.proc.started() ? daemon.proc.wait() : -2;
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 1) << err;
@@ -226,7 +219,7 @@ TEST(CampaignChaos, AcceptFaultsBounceConnectionsButNeverTheServer) {
   // More than half of all accepted connections are dropped on the floor.
   // Clients see structured connect/transport errors; retries (and plain
   // persistence) still get campaigns through, and the listener never dies.
-  Daemon daemon({{"XLV_FAULTS", "server.accept:fail:p=0.6:seed=9"}}, 2);
+  Daemon daemon("server.accept:fail:p=0.6:seed=9", 2);
   ASSERT_TRUE(daemon.waitListening()) << "daemon died on startup";
 
   core::clearProcessCaches();
@@ -246,7 +239,7 @@ TEST(CampaignChaos, AcceptFaultsBounceConnectionsButNeverTheServer) {
 TEST(CampaignChaos, MidRunSigtermDrainsTheInFlightCampaignAndExitsZero) {
   XLV_REQUIRE_CHAOS_DAEMON();
   CleanEnv clean;
-  Daemon daemon({}, 1);
+  Daemon daemon("", 1);
   ASSERT_TRUE(daemon.waitListening()) << "daemon died on startup";
 
   SubmitOutcome inflight;

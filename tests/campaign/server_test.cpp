@@ -16,6 +16,7 @@
 // The tests skip (not fail) when the tools were not built.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -26,7 +27,10 @@
 #include <cstring>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +40,7 @@
 #include "campaign/shard.h"
 #include "core/flow.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 
 namespace xlv::campaign {
 namespace {
@@ -189,7 +194,8 @@ struct ServerHarness {
     for (int i = 0; i < 500; ++i) {
       if (stopped_.load()) break;
       if (!opt.socketPath.empty()) {
-        const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        // Close-on-exec: a worker forked meanwhile must not inherit it.
+        const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (probe >= 0) {
           sockaddr_un addr{};
           addr.sun_family = AF_UNIX;
@@ -291,6 +297,73 @@ TEST(CampaignServer, SigkilledWorkerIsRespawnedAndServedResultStaysBitIdentical)
   // The lost unit's re-queue is attributed to the campaign that owned it.
   EXPECT_GE(ledger.campaigns.front().requeuedShards.size(), 1u);
   EXPECT_EQ(ledger.campaigns.front().unitsCompleted, ledger.campaigns.front().unitsTotal);
+}
+
+/// fd number -> link target ("socket:[123]", "pipe:[45]", a path) of every
+/// descriptor in an `ls -l /proc/<pid>/fd` listing.
+std::map<int, std::string> parseFdListing(const std::string& listing) {
+  std::map<int, std::string> fds;
+  std::istringstream in(listing);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t arrow = line.find(" -> ");
+    if (arrow == std::string::npos) continue;
+    const std::size_t name = line.rfind(' ', arrow - 1) + 1;
+    fds[std::stoi(line.substr(name, arrow - name))] = line.substr(arrow + 4);
+  }
+  return fds;
+}
+
+TEST(CampaignServer, WorkersInheritNoServerSocketOrPipe) {
+  XLV_REQUIRE_DAEMON();
+  FaultEnv env;
+  namespace fs = std::filesystem;
+  // Descriptors this test process would pass to any child anyway (what the
+  // test runner handed it): not the serve engine's to close.
+  std::map<int, std::string> inherited;
+  std::error_code ec;
+  for (const auto& e : fs::directory_iterator("/proc/self/fd", ec)) {
+    const int fd = std::stoi(e.path().filename().string());
+    const fs::path target = fs::read_symlink(e.path(), ec);
+    if (!ec && ::fcntl(fd, F_GETFD) == 0) inherited[fd] = target.string();
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("xlv-serve-fds-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // Worker 0's first process dies on its first unit, so its respawn forks
+  // while the client's accepted socket is open. Each worker's shell lists
+  // its descriptors from a subshell (so the redirection opens none in the
+  // shell itself), then execs the real worker in the same process.
+  env.set("worker.die:fail:worker=0");
+  ServerHarness server([&](ServeOptions& o) {
+    o.workers = 2;
+    o.enableSignalDrain = true;
+    o.workerCommand = {"sh", "-c",
+                       "(ls -l /proc/$$/fd > '" + dir.string() + "'/fds.$$); exec \"$0\" \"$@\"",
+                       XLV_CAMPAIGND_BIN, "worker"};
+  });
+  const SubmitOutcome out =
+      submitCampaign(builtinCampaignSpec("single"), server.clientOptions("fds"));
+  ASSERT_TRUE(out.error.empty()) << out.error;
+  ASSERT_TRUE(out.done);
+  EXPECT_TRUE(referenceResult().sameResults(out.result));
+  EXPECT_GE(server.ledger().workerRespawns, 1u);
+
+  std::size_t listings = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    ++listings;
+    const std::string listing = util::readFile(e.path().string());
+    for (const auto& [fd, target] : parseFdListing(listing)) {
+      if (fd <= 1) continue;  // the worker's own stdin and stdout pipes
+      const bool socketOrPipe = target.rfind("socket:", 0) == 0 || target.rfind("pipe:", 0) == 0;
+      const auto it = inherited.find(fd);
+      EXPECT_FALSE(socketOrPipe && (it == inherited.end() || it->second != target))
+          << e.path().filename() << ": fd " << fd << " -> " << target << "\n"
+          << listing;
+    }
+  }
+  EXPECT_GE(listings, 3u) << "two workers plus one respawn";
+  fs::remove_all(dir);
 }
 
 TEST(CampaignServer, SmallCampaignsFinishBeforeAHugeCampaignsTail) {

@@ -136,6 +136,22 @@ TEST(ArtifactStore, TempFilesAreNeverVisibleAsEntries) {
   EXPECT_EQ(16u, entryFiles(dir.path).size());
 }
 
+TEST(ArtifactStore, AKeyStoredTwiceHoldsOneEntryWithTheSecondPayload) {
+  TempDir dir;
+  ArtifactStore store(ArtifactStoreConfig{dir.str(), 0});
+  store.store("d", "k", std::string(500, 'a'));
+  store.store("d", "k", "second");
+  EXPECT_EQ("second", store.load("d", "k").value());
+  EXPECT_EQ(2u, store.stats().stores);
+  std::vector<fs::path> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir.path)) {
+    if (e.is_regular_file()) files.push_back(e.path());
+  }
+  ASSERT_EQ(1u, files.size()) << "a temp file was left behind";
+  EXPECT_EQ(".art", files.front().extension());
+  EXPECT_EQ(fs::file_size(files.front()), store.diskBytes());
+}
+
 TEST(ArtifactStore, ByteCapEvictsLeastRecentlyUsed) {
   TempDir dir;
   // Entries are ~payload + envelope; a cap of ~2.5 entries keeps two.

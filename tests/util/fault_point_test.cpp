@@ -29,7 +29,6 @@ struct FaultsEnv {
 TEST(FaultPoint, UnsetEnvIsInert) {
   ::unsetenv("XLV_FAULTS");
   reloadFaultPointsFromEnv();
-  EXPECT_FALSE(faultPointsArmed());
   for (const char* p : {"store.write", "frame.write", "worker.spawn", "server.accept"}) {
     EXPECT_EQ(faultPoint(p), FaultAction::None) << p;
   }
@@ -37,10 +36,7 @@ TEST(FaultPoint, UnsetEnvIsInert) {
 
 TEST(FaultPoint, CertainFailFiresEveryDraw) {
   FaultsEnv env("store.write:fail");
-  EXPECT_TRUE(faultPointsArmed());
-  const std::uint64_t before = faultPointFireCount("store.write");
   for (int i = 0; i < 5; ++i) EXPECT_EQ(faultPoint("store.write"), FaultAction::Fail);
-  EXPECT_EQ(faultPointFireCount("store.write") - before, 5u);
   // The other points stay clean — clauses are per-point, not global.
   EXPECT_EQ(faultPoint("frame.write"), FaultAction::None);
 }
@@ -124,7 +120,7 @@ TEST(FaultPoint, MalformedSpecsThrowInsteadOfRunningClean) {
   }
   ::unsetenv("XLV_FAULTS");
   reloadFaultPointsFromEnv();
-  EXPECT_FALSE(faultPointsArmed());
+  EXPECT_EQ(faultPoint("store.write"), FaultAction::None);
 }
 
 TEST(FaultPoint, DrawAfterAFailedParseThrowsInsteadOfTakingTheUnarmedFastPath) {
@@ -137,7 +133,6 @@ TEST(FaultPoint, DrawAfterAFailedParseThrowsInsteadOfTakingTheUnarmedFastPath) {
   EXPECT_THROW(faultPoint("frame.write"), FaultConfigError);
   ::unsetenv("XLV_FAULTS");
   EXPECT_EQ(faultPoint("store.write"), FaultAction::None);
-  EXPECT_FALSE(faultPointsArmed());
 }
 
 }  // namespace

@@ -14,13 +14,12 @@
 // malformed report, 2 at least one metric regressed.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/bench_compare.h"
+#include "util/file.h"
 
 namespace {
 
@@ -38,14 +37,6 @@ using namespace xlv;
       "Exit 0 when every ratcheted metric holds, 2 on any regression.\n",
       stderr);
   std::exit(1);
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 std::string baseName(const std::string& path) {
@@ -103,8 +94,8 @@ int main(int argc, char** argv) {
   bool regressed = false;
   try {
     for (const auto& [basePath, curPath] : pairs) {
-      const util::BenchReport baseline = util::parseBenchJson(readFile(basePath));
-      const util::BenchReport current = util::parseBenchJson(readFile(curPath));
+      const util::BenchReport baseline = util::parseBenchJson(util::readFile(basePath));
+      const util::BenchReport current = util::parseBenchJson(util::readFile(curPath));
       const util::BenchComparison cmp =
           util::compareBenchReports(baseline, current, tolerance);
       std::fputs(cmp.render().c_str(), stdout);

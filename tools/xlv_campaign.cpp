@@ -52,9 +52,7 @@
 // on purpose.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -64,6 +62,7 @@
 #include "campaign/shard.h"
 #include "util/artifact_store.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/log.h"
 
 namespace {
@@ -121,21 +120,12 @@ using namespace xlv;
   std::exit(1);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 void writeOutput(const std::string& path, const std::string& data) {
   if (path.empty() || path == "-") {
     std::fwrite(data.data(), 1, data.size(), stdout);
     return;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << data)) throw std::runtime_error("cannot write '" + path + "'");
+  util::publishFile(path, data);
 }
 
 /// Minimal flag cursor: named flags in any order, positional operands kept.
@@ -223,7 +213,7 @@ Args parseArgs(int argc, char** argv, int first) {
 
 campaign::CampaignSpec loadSpec(const Args& a) {
   if (a.spec.empty()) usage("--spec FILE is required");
-  return campaign::decodeCampaignSpec(readFile(a.spec));
+  return campaign::decodeCampaignSpec(util::readFile(a.spec));
 }
 
 /// Apply the run-time engine overrides (--backend / --batch) to every item
@@ -401,7 +391,7 @@ int cmdRunShard(const Args& a) {
   campaign::CampaignSpec spec = loadSpec(a);
   applyBackendOverrides(a, spec);
   configureCache(a);
-  const campaign::ShardPlan plan = campaign::decodeShardPlan(readFile(a.plan));
+  const campaign::ShardPlan plan = campaign::decodeShardPlan(util::readFile(a.plan));
   const campaign::ShardOutput out =
       campaign::runShard(spec, plan, static_cast<int>(a.index));
   writeOutput(a.out, campaign::encodeShardOutput(out));
@@ -422,7 +412,7 @@ int cmdMerge(const Args& a) {
   std::vector<campaign::ShardOutput> outputs;
   outputs.reserve(a.positional.size());
   for (const auto& path : a.positional) {
-    outputs.push_back(campaign::decodeShardOutput(readFile(path)));
+    outputs.push_back(campaign::decodeShardOutput(util::readFile(path)));
   }
   const campaign::CampaignResult merged = campaign::mergeShards(spec, outputs);
   writeOutput(a.out, campaign::encodeCampaignResult(merged));
@@ -493,8 +483,10 @@ int cmdDiff(const Args& a) {
   rejectCacheFlags(a, "diff");
   rejectRunFlags(a, "diff");
   if (a.positional.size() != 2) usage("diff takes exactly two result files");
-  const campaign::CampaignResult x = campaign::decodeCampaignResult(readFile(a.positional[0]));
-  const campaign::CampaignResult y = campaign::decodeCampaignResult(readFile(a.positional[1]));
+  const campaign::CampaignResult x =
+      campaign::decodeCampaignResult(util::readFile(a.positional[0]));
+  const campaign::CampaignResult y =
+      campaign::decodeCampaignResult(util::readFile(a.positional[1]));
   if (x.sameResults(y)) {
     std::printf("identical: %zu items\n", x.items.size());
     return 0;
@@ -522,7 +514,7 @@ int cmdShow(const Args& a) {
   rejectCacheFlags(a, "show");
   rejectRunFlags(a, "show");
   if (a.positional.size() != 1) usage("show takes exactly one result file");
-  printSummary(campaign::decodeCampaignResult(readFile(a.positional[0])));
+  printSummary(campaign::decodeCampaignResult(util::readFile(a.positional[0])));
   return 0;
 }
 

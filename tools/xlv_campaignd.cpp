@@ -53,8 +53,6 @@
 // protocol errors (see campaign/dispatch.h).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,6 +65,7 @@
 #include "util/artifact_store.h"
 #include "util/env.h"
 #include "util/fault_point.h"
+#include "util/file.h"
 #include "util/log.h"
 
 namespace {
@@ -130,21 +129,12 @@ using namespace xlv;
   std::exit(1);
 }
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 void writeOutput(const std::string& path, const std::string& data) {
   if (path.empty() || path == "-") {
     std::fwrite(data.data(), 1, data.size(), stdout);
     return;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !(out << data)) throw std::runtime_error("cannot write '" + path + "'");
+  util::publishFile(path, data);
 }
 
 struct Args {
@@ -274,7 +264,7 @@ campaign::ServeOptions poolOptions(const char* self, const Args& a) {
 int cmdRun(const char* self, const Args& a) {
   if (a.spec.empty()) usage("--spec FILE is required");
   const campaign::ServeOptions opt = poolOptions(self, a);
-  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(readFile(a.spec));
+  const campaign::CampaignSpec spec = campaign::decodeCampaignSpec(util::readFile(a.spec));
 
   campaign::PoolRunResult res;
   try {
